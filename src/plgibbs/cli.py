@@ -143,6 +143,11 @@ def cmd_fit(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    # One penalized solve per fit, shared by default-start chains and v_default_start.
+    default_start = initial_state(args.model, data, hyper, groups, ChainConfig(n_iter=2, burn_in=0))
+    if init_mode == "default":
+        init_state = default_start
+
     def one_chain(chain_idx: int) -> ChainOutput:
         config = ChainConfig(
             n_iter=args.iters, burn_in=args.burnin, thin=args.thin,
@@ -169,11 +174,9 @@ def cmd_fit(args) -> int:
     })
 
     drift = build_drift_report(args.model, data, hyper, groups=groups)
-    start = initial_state(args.model, data, hyper, groups,
-                          ChainConfig(n_iter=2, burn_in=0, seed=args.seed))
     payload = drift.to_dict()
     payload["schema_version"] = SCHEMA_VERSION
-    payload["v_default_start"] = drift_value(args.model, start, data, hyper, groups)
+    payload["v_default_start"] = drift_value(args.model, default_start, data, hyper, groups)
     _write_json(out_dir / "drift.json", payload)
     return 0
 

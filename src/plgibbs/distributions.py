@@ -10,9 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky_banded, solve_banded, solve_triangular
+from scipy.linalg import cho_factor, cholesky_banded, get_lapack_funcs, solve_banded
 
 from .errors import DecompositionError, InvalidParameterError
+
+# The LAPACK routines behind cho_factor, cho_solve and solve_triangular,
+# called directly: the beta draw needs none of their wrappers' input checks.
+_potrf, _potrs, _trtrs = get_lapack_funcs(("potrf", "potrs", "trtrs"), (np.zeros((1, 1)),))
 
 __all__ = [
     "RngStream",
@@ -94,22 +98,22 @@ def sample_inverse_gaussian(mean_param, shape_param, rng: RngStream, size=None):
         out_shape = np.broadcast_shapes(a.shape, b.shape)
     else:
         out_shape = (size,) if isinstance(size, (int, np.integer)) else tuple(size)
-    scalar_out = out_shape == ()
-    a = np.broadcast_to(a, out_shape)
-    b = np.broadcast_to(b, out_shape)
+    out = _inverse_gaussian(np.broadcast_to(a, out_shape), np.broadcast_to(b, out_shape), rng, out_shape)
+    return float(out) if out_shape == () else out
 
+
+def _inverse_gaussian(a, b, rng: RngStream, out_shape):
+    """Core of :func:`sample_inverse_gaussian`: ``a`` and ``b`` unchecked, broadcastable to ``out_shape``."""
     nu = np.square(rng.gen.standard_normal(out_shape))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         r = a * nu / b
         # Smaller root x1 = a (1 - 2 / (1 + sqrt(1 + 4/r))); stable as r -> 0 and r -> inf.
+        # nu == 0 gives r = 0 and x1 = a exactly; fp rounding of the stable form can
+        # reach 0 for astronomically large r, where the true root is ~ b / nu.
         x1 = a * (1.0 - 2.0 / (1.0 + np.sqrt(1.0 + 4.0 / r)))
-        # nu == 0 gives x1 = a exactly; fp rounding of the stable form can reach 0
-        # for astronomically large r, where the true root is ~ b / nu.
-        x1 = np.where(nu == 0.0, a, x1)
         x1 = np.where(x1 > 0.0, x1, b / nu)
         u = rng.gen.uniform(size=out_shape)
-        out = np.where(u <= a / (a + x1), x1, a * a / x1)
-    return float(out) if scalar_out else out
+        return np.where(u <= a / (a + x1), x1, a * a / x1)
 
 
 def sample_inverse_gamma(shape, rate, rng: RngStream, size=None):
@@ -120,11 +124,13 @@ def sample_inverse_gamma(shape, rate, rng: RngStream, size=None):
     """
     a = _check_positive("shape", shape)
     b = _check_positive("rate", rate)
-    g = rng.gen.gamma(a, 1.0, size=size)
-    out = b / g
-    if size is None and a.shape == () and b.shape == ():
-        return float(out)
-    return out
+    out = _inverse_gamma(a, b, rng, size)
+    return float(out) if size is None and a.shape == b.shape == () else out
+
+
+def _inverse_gamma(shape, rate, rng: RngStream, size=None):
+    """Core of :func:`sample_inverse_gamma`: ``shape`` and ``rate`` unchecked."""
+    return rate / rng.gen.gamma(shape, 1.0, size=size)
 
 
 def _dense_precision(prior_precision) -> np.ndarray:
@@ -160,19 +166,46 @@ def _transpose_banded(upper_ab: np.ndarray) -> np.ndarray:
     return lower
 
 
-def _chol_with_jitter(a: np.ndarray):
-    """Cholesky factor of ``a``, retrying once with a trace-scaled jitter."""
+def _with_bands(base: np.ndarray, diag=None, off=None) -> np.ndarray:
+    """A Fortran-ordered copy of ``base`` plus ``diag`` on its diagonal and ``off`` on
+    both first off-diagonals; ``None`` adds nothing."""
+    a = np.array(base, dtype=float, order="F")
+    flat = a.reshape(-1, order="F")  # a view: entry (i, j) sits at i + j p
+    step = a.shape[0] + 1
+    if diag is not None:
+        flat[::step] += diag
+    if off is not None:
+        flat[1::step] += off
+        flat[step - 1::step] += off
+    return a
+
+
+def _chol_with_jitter(base: np.ndarray, diag=None, off=None) -> np.ndarray:
+    """Lower Cholesky factor of ``_with_bands(base, diag, off)``, factored in place;
+    if that is not numerically SPD, one retry adds a trace-scaled jitter."""
+    factor, info = _potrf(_with_bands(base, diag, off), lower=1, overwrite_a=1, clean=0)
+    if info == 0:
+        return factor
+    a = _with_bands(base, diag, off)
+    p = a.shape[0]
+    jitter = 1e-10 * np.trace(a) / p
     try:
-        return cho_factor(a, lower=True)
-    except np.linalg.LinAlgError:
-        p = a.shape[0]
-        jitter = 1e-10 * np.trace(a) / p
-        try:
-            return cho_factor(a + jitter * np.eye(p), lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise DecompositionError(
-                f"posterior precision not SPD even after jitter {jitter:.3e}"
-            ) from exc
+        return cho_factor(a + jitter * np.eye(p), lower=True)[0]
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionError(f"posterior precision not SPD even after jitter {jitter:.3e}") from exc
+
+
+def _regression_draw(xtx: np.ndarray, xty: np.ndarray, diag, off, sigma2: float, rng: RngStream,
+                     size: int | None = None) -> np.ndarray:
+    """Unchecked core of the Cholesky branch of :func:`sample_gaussian_regression_conditional`;
+    P is given by its diagonal ``diag`` and first off-diagonal ``off`` (``None`` if diagonal)."""
+    factor = _chol_with_jitter(xtx, diag, off)
+    mean, _ = _potrs(factor, xty, lower=1)
+    z = rng.gen.standard_normal((xty.shape[0], 1 if size is None else int(size)))
+    # beta = mean + sigma L^{-T} z  with  X'X + P = L L'.
+    noise, _ = _trtrs(factor, z, lower=1, trans=1, overwrite_b=1)
+    draw = mean[None, :] + float(np.sqrt(sigma2)) * noise.T
+    return draw[0] if size is None else draw
 
 
 def sample_gaussian_regression_conditional(
@@ -214,25 +247,25 @@ def sample_gaussian_regression_conditional(
     """
     if not np.isfinite(sigma2) or sigma2 <= 0:
         raise InvalidParameterError("sigma2 must be strictly positive and finite")
-    sig = float(np.sqrt(sigma2))
-    xty = np.asarray(xty, dtype=float)
+    xtx, xty = np.asarray(xtx, dtype=float), np.asarray(xty, dtype=float)
     p = xty.shape[0]
+    if xtx.shape != (p, p) or not (np.all(np.isfinite(xtx)) and np.all(np.isfinite(xty))):
+        raise InvalidParameterError(f"X'X must be a finite {p} x {p} matrix to match a finite X'y")
     n_draws = 1 if size is None else int(size)
 
     if method == "cholesky":
-        a = np.asarray(xtx, dtype=float) + _dense_precision(prior_precision)
-        factor = _chol_with_jitter(a)
-        mean = cho_solve(factor, xty)
-        lower = factor[0]
-        z = rng.gen.standard_normal((p, n_draws)) if size is not None else rng.gen.standard_normal((p, 1))
-        # beta = mean + sig L^{-T} z  with  a = L L'.
-        noise = solve_triangular(lower, z, lower=True, trans="T")
-        draw = mean[None, :] + sig * noise.T
-        return draw[0] if size is None else draw
+        if hasattr(prior_precision, "off"):  # tridiagonal: its bands go straight into X'X
+            bands, base = (prior_precision.diag, prior_precision.off), xtx
+        else:
+            bands, base = (None, None), xtx + _dense_precision(prior_precision)
+        if not all(np.all(np.isfinite(x)) for x in (base, *bands) if x is not None):
+            raise InvalidParameterError("prior precision must be finite")
+        return _regression_draw(base, xty, *bands, sigma2, rng, size)
 
     if method == "fast_np":
         if X is None or y is None:
             raise InvalidParameterError("method='fast_np' requires X and y")
+        sig = float(np.sqrt(sigma2))
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         n = y.shape[0]
@@ -249,7 +282,7 @@ def sample_gaussian_regression_conditional(
         g = X @ s + np.eye(n)
         g_factor = _chol_with_jitter(g)
         rhs = y[:, None] / sig - X @ u - delta
-        w = cho_solve(g_factor, rhs)
+        w, _ = _potrs(g_factor, rhs, lower=1)
         draw = (sig * (u + s @ w)).T
         return draw[0] if size is None else draw
 

@@ -20,7 +20,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .distributions import RngStream
 from .errors import DegenerateEpsilonError, DriftHypothesisWarning, InvalidParameterError
 from .gibbs import MODEL_IDS, batch_transition
-from .model_core import Dataset, GroupStructure, Hyperparameters, fused_quadratic_form
+from .model_core import Dataset, GroupStructure, Hyperparameters, _group_diag, _sparse_diag, fused_quadratic_form
 
 __all__ = [
     "DriftReport",
@@ -302,27 +302,19 @@ class EmpiricalDriftResult:
 
 def _batch_drift_values(model_id: str, arrs: dict, data: Dataset,
                         hyper: Hyperparameters, groups: GroupStructure | None) -> np.ndarray:
-    beta = arrs["beta"]
+    beta, tau2 = arrs["beta"], arrs["tau2"]
     resid = data.y[None, :] - beta @ data.X.T
     rss = np.sum(resid * resid, axis=1)
-    l1_sq = hyper.lambda1**2
-    l2_sq = hyper.lambda2**2
+    l1_sq, l2_sq = hyper.lambda1**2, hyper.lambda2**2
     if model_id == "bfl":
-        tau2, w2 = arrs["tau2"], arrs["w2"]
+        w2 = arrs["w2"]
         quad = np.sum(beta * beta / tau2, axis=1)
         if beta.shape[1] > 1:
             quad = quad + np.sum(np.diff(beta, axis=1) ** 2 / w2, axis=1)
         return rss + quad + 0.25 * l1_sq * np.sum(tau2, axis=1) + 0.25 * l2_sq * np.sum(w2, axis=1)
-    if model_id == "bgl":
-        tau2 = arrs["tau2"]
-        inv = np.repeat(1.0 / tau2, groups.sizes, axis=1)
-        quad = np.sum(beta * beta * inv, axis=1)
-        return rss + quad + 0.25 * l1_sq * np.sum(tau2, axis=1)
-    tau2, gamma2 = arrs["tau2"], arrs["gamma2"]
-    inv = np.repeat(1.0 / tau2, groups.sizes, axis=1) + 1.0 / gamma2
-    quad = np.sum(beta * beta * inv, axis=1)
-    return (rss + quad + 0.25 * l1_sq * np.sum(tau2, axis=1)
-            + 0.25 * l2_sq * np.sum(gamma2, axis=1))
+    inv = _group_diag(tau2, groups) if model_id == "bgl" else _sparse_diag(tau2, arrs["gamma2"], groups)
+    value = rss + np.sum(beta * beta * inv, axis=1) + 0.25 * l1_sq * np.sum(tau2, axis=1)
+    return value if model_id == "bgl" else value + 0.25 * l2_sq * np.sum(arrs["gamma2"], axis=1)
 
 
 def default_workers() -> int:

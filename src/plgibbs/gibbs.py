@@ -8,10 +8,20 @@ where sigma2 is drawn from the *previous* state, the scale variances from the
 previous beta and the fresh sigma2, and beta from the fresh scales and
 sigma2.  Initial states never need sigma2: it is overwritten before being
 read.
+
+Inputs are validated once, where they enter: ``Dataset``, ``Hyperparameters``,
+``GroupStructure`` and the state dataclasses check their fields, and
+``run_chain`` checks the model, groups, config and start state.  A sweep
+re-checks nothing the chain drew itself: it calls the unchecked draw and
+precision cores and skips the returned state's ``__post_init__``.  Its one
+guard raises ``InvalidParameterError`` unless the sigma2 rate and draw, each
+fresh scale block (before the precision is built) and the fresh beta are
+finite, and the first three positive.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -20,9 +30,11 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .distributions import (
     RngStream,
-    sample_gaussian_regression_conditional,
+    _inverse_gamma,
+    _inverse_gaussian,
+    _regression_draw,
+    sample_gaussian_regression_conditional,  # looked up here by perfbench/tracing.py
     sample_inverse_gamma,
-    sample_inverse_gaussian,
 )
 from .errors import InvalidParameterError, StructureError
 from .model_core import (
@@ -32,6 +44,11 @@ from .model_core import (
     GroupStructure,
     Hyperparameters,
     SparseGroupState,
+    _fused_bands,
+    _fused_quad,
+    _group_diag,
+    _sparse_diag,
+    _unchecked_constructor,
     build_fused_precision,
     build_group_precision,
     build_sparse_precision,
@@ -119,6 +136,17 @@ def _rss(beta: np.ndarray, data: Dataset) -> float:
     return float(r @ r)
 
 
+def _full_conditionals(state, data: Dataset, hyper: Hyperparameters, prior_quad: float, prec,
+                       blocks: dict) -> FullConditionals:
+    """Parameters at ``state``; ``blocks`` maps each scale block to its (magnitudes, lambda)."""
+    shape, rate = _sigma2_params(_rss(state.beta, data), prior_quad, data.n, data.p, hyper)
+    sigma2 = state.sigma2 if state.sigma2 is not None else np.nan
+    scales = {name: _scale_conditional(mags, lam**2, sigma2) for name, (mags, lam) in blocks.items()}
+    mean, chol = _beta_params(prec, data)
+    return FullConditionals(sigma2_shape=shape, sigma2_rate=rate, beta_mean=mean, beta_chol_precision=chol,
+                            **scales)
+
+
 def bfl_full_conditional_params(state: FusedState, data: Dataset, hyper: Hyperparameters) -> FullConditionals:
     """Full-conditional parameters of the fused model at ``state``.
 
@@ -129,15 +157,8 @@ def bfl_full_conditional_params(state: FusedState, data: Dataset, hyper: Hyperpa
     with mean (X'X + P)^{-1} X'y and covariance sigma2 (X'X + P)^{-1}.
     """
     quad = fused_quadratic_form(state.beta, state.tau2, state.w2)
-    shape, rate = _sigma2_params(_rss(state.beta, data), quad, data.n, data.p, hyper)
-    sigma2 = state.sigma2 if state.sigma2 is not None else np.nan
-    tau2 = _scale_conditional(np.abs(state.beta), hyper.lambda1**2, sigma2)
-    w2 = _scale_conditional(np.abs(np.diff(state.beta)), hyper.lambda2**2, sigma2)
-    mean, chol = _beta_params(build_fused_precision(state.tau2, state.w2), data)
-    return FullConditionals(
-        sigma2_shape=shape, sigma2_rate=rate, tau2=tau2, w2=w2,
-        beta_mean=mean, beta_chol_precision=chol,
-    )
+    return _full_conditionals(state, data, hyper, quad, build_fused_precision(state.tau2, state.w2), {
+        "tau2": (np.abs(state.beta), hyper.lambda1), "w2": (np.abs(np.diff(state.beta)), hyper.lambda2)})
 
 
 def bgl_full_conditional_params(
@@ -150,14 +171,8 @@ def bgl_full_conditional_params(
     """
     groups.check_p(data.p)
     prec = build_group_precision(state.tau2, groups)
-    shape, rate = _sigma2_params(_rss(state.beta, data), prec.quad_form(state.beta), data.n, data.p, hyper)
-    sigma2 = state.sigma2 if state.sigma2 is not None else np.nan
-    tau2 = _scale_conditional(np.sqrt(groups.group_sq_norms(state.beta)), hyper.lambda1**2, sigma2)
-    mean, chol = _beta_params(prec, data)
-    return FullConditionals(
-        sigma2_shape=shape, sigma2_rate=rate, tau2=tau2,
-        beta_mean=mean, beta_chol_precision=chol,
-    )
+    return _full_conditionals(state, data, hyper, prec.quad_form(state.beta), prec, {
+        "tau2": (np.sqrt(groups.group_sq_norms(state.beta)), hyper.lambda1)})
 
 
 def bsgl_full_conditional_params(
@@ -166,15 +181,9 @@ def bsgl_full_conditional_params(
     """Full-conditional parameters of the sparse-group model at ``state``."""
     groups.check_p(data.p)
     prec = build_sparse_precision(state.tau2, state.gamma2, groups)
-    shape, rate = _sigma2_params(_rss(state.beta, data), prec.quad_form(state.beta), data.n, data.p, hyper)
-    sigma2 = state.sigma2 if state.sigma2 is not None else np.nan
-    tau2 = _scale_conditional(np.sqrt(groups.group_sq_norms(state.beta)), hyper.lambda1**2, sigma2)
-    gamma2 = _scale_conditional(np.abs(state.beta), hyper.lambda2**2, sigma2)
-    mean, chol = _beta_params(prec, data)
-    return FullConditionals(
-        sigma2_shape=shape, sigma2_rate=rate, tau2=tau2, gamma2=gamma2,
-        beta_mean=mean, beta_chol_precision=chol,
-    )
+    return _full_conditionals(state, data, hyper, prec.quad_form(state.beta), prec, {
+        "tau2": (np.sqrt(groups.group_sq_norms(state.beta)), hyper.lambda1),
+        "gamma2": (np.abs(state.beta), hyper.lambda2)})
 
 
 # ---------------------------------------------------------------------------
@@ -189,33 +198,29 @@ def draw_scales(magnitudes: np.ndarray, lam_sq: float, sigma2, rng: RngStream) -
     fallback.  Consumption order is fixed: the Inverse-Gaussian block first,
     then the fallback block.  ``sigma2`` may be a scalar or a batch column to
     broadcast against 2-d ``magnitudes``.
+
+    The sweep guard's check on a scale block: raises ``InvalidParameterError``
+    unless every draw is strictly positive and finite.
     """
     magnitudes = np.asarray(magnitudes, dtype=float)
     if magnitudes.size == 0:
         return np.zeros(magnitudes.shape)
-    nonzero = magnitudes >= ZERO_BETA_TOL
-    if magnitudes.ndim == 2:
-        # Batched: the zero pattern comes from one source state, so it is
-        # constant across rows (columns are all-zero or all-nonzero).
-        col_nonzero = nonzero[0]
-        rows = magnitudes.shape[0]
+    # A batch (2-d magnitudes) comes from one source state, so its zero
+    # pattern is constant across rows: columns are all-zero or all-nonzero.
+    nonzero = (magnitudes[0] if magnitudes.ndim == 2 else magnitudes) >= ZERO_BETA_TOL
+    root = np.sqrt(lam_sq * np.asarray(sigma2))
+    n_zero = nonzero.shape[0] - int(np.count_nonzero(nonzero))
+    if n_zero == 0:
+        mean = root / magnitudes
+        out = 1.0 / _inverse_gaussian(mean, lam_sq, rng, mean.shape)
+    else:
         out = np.empty_like(magnitudes)
-        if np.any(col_nonzero):
-            mean = np.sqrt(lam_sq * np.asarray(sigma2)) / magnitudes[:, col_nonzero]
-            out[:, col_nonzero] = 1.0 / sample_inverse_gaussian(mean, lam_sq, rng, size=mean.shape)
-        if np.any(~col_nonzero):
-            n_z = int(np.sum(~col_nonzero))
-            inv = sample_inverse_gamma(0.5, lam_sq / 2.0, rng, size=(rows, n_z))
-            out[:, ~col_nonzero] = 1.0 / inv
-        return out
-
-    out = np.empty_like(magnitudes)
-    if np.any(nonzero):
-        mean = np.sqrt(lam_sq * float(sigma2)) / magnitudes[nonzero]
-        out[nonzero] = 1.0 / sample_inverse_gaussian(mean, lam_sq, rng, size=mean.shape[0])
-    if np.any(~nonzero):
-        inv = sample_inverse_gamma(0.5, lam_sq / 2.0, rng, size=int(np.sum(~nonzero)))
-        out[~nonzero] = 1.0 / inv
+        if n_zero < nonzero.shape[0]:
+            mean = root / magnitudes[..., nonzero]
+            out[..., nonzero] = 1.0 / _inverse_gaussian(mean, lam_sq, rng, mean.shape)
+        out[..., ~nonzero] = 1.0 / _inverse_gamma(0.5, lam_sq / 2.0, rng, out.shape[:-1] + (n_zero,))
+    if not (out.min() > 0.0 and out.max() < math.inf):
+        raise InvalidParameterError("scale draws must be strictly positive and finite")
     return out
 
 
@@ -223,45 +228,66 @@ def draw_scales(magnitudes: np.ndarray, lam_sq: float, sigma2, rng: RngStream) -
 # One-sweep kernels
 # ---------------------------------------------------------------------------
 
+# Constructors of the states a sweep returns: the sweep guard has checked
+# their fields, so ``__post_init__`` is not run again.
+_fused_state = _unchecked_constructor(FusedState)
+_group_state = _unchecked_constructor(GroupState)
+_sparse_group_state = _unchecked_constructor(SparseGroupState)
+
+
+def _draw_sigma2(rss: float, prior_quad: float, data: Dataset, hyper: Hyperparameters,
+                 rng: RngStream) -> float:
+    """sigma2 from its full conditional, guarded: rate and draw finite and positive."""
+    shape, rate = _sigma2_params(rss, prior_quad, data.n, data.p, hyper)
+    if not 0.0 < rate < math.inf:
+        raise InvalidParameterError(f"sigma2 rate (rss + beta'P beta + 2 xi)/2 = {rate!r} is not in (0, inf)")
+    sigma2 = float(_inverse_gamma(shape, rate, rng))
+    if not 0.0 < sigma2 < math.inf:
+        raise InvalidParameterError(f"sigma2 draw {sigma2!r} is not in (0, inf)")
+    return sigma2
+
+
+def _draw_beta(data: Dataset, diag: np.ndarray, off, sigma2: float, rng: RngStream) -> np.ndarray:
+    """beta from its full conditional given the prior precision's bands, guarded: finite."""
+    beta = _regression_draw(data.xtx, data.xty, diag, off, sigma2, rng)
+    if not np.all(np.isfinite(beta)):
+        raise InvalidParameterError("beta draw must be finite")
+    return beta
+
+
 def bfl_step(state: FusedState, data: Dataset, hyper: Hyperparameters, rng: RngStream) -> FusedState:
     """One fused-model sweep: sigma2 -> (tau2, w2) -> beta."""
-    quad = fused_quadratic_form(state.beta, state.tau2, state.w2)
-    shape, rate = _sigma2_params(_rss(state.beta, data), quad, data.n, data.p, hyper)
-    sigma2 = sample_inverse_gamma(shape, rate, rng)
-    tau2 = draw_scales(np.abs(state.beta), hyper.lambda1**2, sigma2, rng)
-    w2 = draw_scales(np.abs(np.diff(state.beta)), hyper.lambda2**2, sigma2, rng)
-    prec = build_fused_precision(tau2, w2)
-    beta = sample_gaussian_regression_conditional(data.xtx, data.xty, prec, sigma2, rng)
-    return FusedState(beta=beta, tau2=tau2, w2=w2, sigma2=sigma2)
+    beta = state.beta
+    diff = np.diff(beta)
+    sigma2 = _draw_sigma2(_rss(beta, data), _fused_quad(beta, diff, state.tau2, state.w2), data, hyper, rng)
+    tau2 = draw_scales(np.abs(beta), hyper.lambda1**2, sigma2, rng)
+    w2 = draw_scales(np.abs(diff), hyper.lambda2**2, sigma2, rng)
+    diag, off = _fused_bands(tau2, w2)
+    return _fused_state(_draw_beta(data, diag, off, sigma2, rng), tau2, w2, sigma2)
 
 
 def bgl_step(
     state: GroupState, data: Dataset, hyper: Hyperparameters, groups: GroupStructure, rng: RngStream
 ) -> GroupState:
     """One group-model sweep: sigma2 -> tau2 -> beta."""
-    groups.check_p(data.p)
-    prec_old = build_group_precision(state.tau2, groups)
-    shape, rate = _sigma2_params(_rss(state.beta, data), prec_old.quad_form(state.beta), data.n, data.p, hyper)
-    sigma2 = sample_inverse_gamma(shape, rate, rng)
-    tau2 = draw_scales(np.sqrt(groups.group_sq_norms(state.beta)), hyper.lambda1**2, sigma2, rng)
-    prec = build_group_precision(tau2, groups)
-    beta = sample_gaussian_regression_conditional(data.xtx, data.xty, prec, sigma2, rng)
-    return GroupState(beta=beta, tau2=tau2, sigma2=sigma2)
+    beta = state.beta
+    quad = float(np.dot(_group_diag(state.tau2, groups) * beta, beta))
+    sigma2 = _draw_sigma2(_rss(beta, data), quad, data, hyper, rng)
+    tau2 = draw_scales(np.sqrt(groups.group_sq_norms(beta)), hyper.lambda1**2, sigma2, rng)
+    return _group_state(_draw_beta(data, _group_diag(tau2, groups), None, sigma2, rng), tau2, sigma2)
 
 
 def bsgl_step(
     state: SparseGroupState, data: Dataset, hyper: Hyperparameters, groups: GroupStructure, rng: RngStream
 ) -> SparseGroupState:
     """One sparse-group sweep: sigma2 -> (tau2, gamma2) -> beta."""
-    groups.check_p(data.p)
-    prec_old = build_sparse_precision(state.tau2, state.gamma2, groups)
-    shape, rate = _sigma2_params(_rss(state.beta, data), prec_old.quad_form(state.beta), data.n, data.p, hyper)
-    sigma2 = sample_inverse_gamma(shape, rate, rng)
-    tau2 = draw_scales(np.sqrt(groups.group_sq_norms(state.beta)), hyper.lambda1**2, sigma2, rng)
-    gamma2 = draw_scales(np.abs(state.beta), hyper.lambda2**2, sigma2, rng)
-    prec = build_sparse_precision(tau2, gamma2, groups)
-    beta = sample_gaussian_regression_conditional(data.xtx, data.xty, prec, sigma2, rng)
-    return SparseGroupState(beta=beta, tau2=tau2, gamma2=gamma2, sigma2=sigma2)
+    beta = state.beta
+    quad = float(np.dot(_sparse_diag(state.tau2, state.gamma2, groups) * beta, beta))
+    sigma2 = _draw_sigma2(_rss(beta, data), quad, data, hyper, rng)
+    tau2 = draw_scales(np.sqrt(groups.group_sq_norms(beta)), hyper.lambda1**2, sigma2, rng)
+    gamma2 = draw_scales(np.abs(beta), hyper.lambda2**2, sigma2, rng)
+    beta = _draw_beta(data, _sparse_diag(tau2, gamma2, groups), None, sigma2, rng)
+    return _sparse_group_state(beta, tau2, gamma2, sigma2)
 
 
 # ---------------------------------------------------------------------------
@@ -276,63 +302,44 @@ def batch_transition(model_id, state, data, hyper, groups, rng: RngStream, repli
     stream consumption; use the scalar kernels when bit-level reproducibility
     of a single chain matters.
     """
+    if model_id not in MODEL_IDS:
+        raise InvalidParameterError(f"unknown model id {model_id!r}")
     r = int(replicates)
+    beta = state.beta
     if model_id == "bfl":
-        quad = fused_quadratic_form(state.beta, state.tau2, state.w2)
-        shape, rate = _sigma2_params(_rss(state.beta, data), quad, data.n, data.p, hyper)
-        sigma2 = sample_inverse_gamma(shape, rate, rng, size=r)
-        tau2 = draw_scales(
-            np.broadcast_to(np.abs(state.beta), (r, data.p)), hyper.lambda1**2, sigma2[:, None], rng
-        )
-        w2 = draw_scales(
-            np.broadcast_to(np.abs(np.diff(state.beta)), (r, data.p - 1)),
-            hyper.lambda2**2, sigma2[:, None], rng,
-        )
-        diag = 1.0 / tau2
-        if data.p > 1:
-            inv_w = 1.0 / w2
-            diag[:, :-1] += inv_w
-            diag[:, 1:] += inv_w
-            off = -inv_w
+        quad = fused_quadratic_form(beta, state.tau2, state.w2)
+    elif model_id == "bgl":
+        quad = build_group_precision(state.tau2, groups).quad_form(beta)
+    else:
+        quad = build_sparse_precision(state.tau2, state.gamma2, groups).quad_form(beta)
+    shape, rate = _sigma2_params(_rss(beta, data), quad, data.n, data.p, hyper)
+    sigma2 = sample_inverse_gamma(shape, rate, rng, size=r)
+
+    def scales(magnitudes, lam):
+        return draw_scales(np.broadcast_to(magnitudes, (r, len(magnitudes))), lam**2, sigma2[:, None], rng)
+
+    if model_id == "bfl":
+        out = {"tau2": scales(np.abs(beta), hyper.lambda1)}
+        out["w2"] = scales(np.abs(np.diff(beta)), hyper.lambda2)
+        diag, off = _fused_bands(out["tau2"], out["w2"])
+    else:
+        out = {"tau2": scales(np.sqrt(groups.group_sq_norms(beta)), hyper.lambda1)}
+        if model_id == "bgl":
+            diag = _group_diag(out["tau2"], groups)
         else:
-            off = np.zeros((r, 0))
-        beta = _batch_beta_draw(data, diag, off, sigma2, rng)
-        return {"beta": beta, "tau2": tau2, "w2": w2, "sigma2": sigma2}
-
-    if model_id == "bgl":
-        prec_old = build_group_precision(state.tau2, groups)
-        shape, rate = _sigma2_params(
-            _rss(state.beta, data), prec_old.quad_form(state.beta), data.n, data.p, hyper
-        )
-        sigma2 = sample_inverse_gamma(shape, rate, rng, size=r)
-        norms = np.sqrt(groups.group_sq_norms(state.beta))
-        tau2 = draw_scales(np.broadcast_to(norms, (r, groups.K)), hyper.lambda1**2, sigma2[:, None], rng)
-        diag = np.repeat(1.0 / tau2, groups.sizes, axis=1)
-        beta = _batch_beta_draw(data, diag, np.zeros((r, data.p - 1)), sigma2, rng)
-        return {"beta": beta, "tau2": tau2, "sigma2": sigma2}
-
-    if model_id == "bsgl":
-        prec_old = build_sparse_precision(state.tau2, state.gamma2, groups)
-        shape, rate = _sigma2_params(
-            _rss(state.beta, data), prec_old.quad_form(state.beta), data.n, data.p, hyper
-        )
-        sigma2 = sample_inverse_gamma(shape, rate, rng, size=r)
-        norms = np.sqrt(groups.group_sq_norms(state.beta))
-        tau2 = draw_scales(np.broadcast_to(norms, (r, groups.K)), hyper.lambda1**2, sigma2[:, None], rng)
-        gamma2 = draw_scales(
-            np.broadcast_to(np.abs(state.beta), (r, data.p)), hyper.lambda2**2, sigma2[:, None], rng
-        )
-        diag = np.repeat(1.0 / tau2, groups.sizes, axis=1) + 1.0 / gamma2
-        beta = _batch_beta_draw(data, diag, np.zeros((r, data.p - 1)), sigma2, rng)
-        return {"beta": beta, "tau2": tau2, "gamma2": gamma2, "sigma2": sigma2}
-
-    raise InvalidParameterError(f"unknown model id {model_id!r}")
+            out["gamma2"] = scales(np.abs(beta), hyper.lambda2)
+            diag = _sparse_diag(out["tau2"], out["gamma2"], groups)
+        off = np.zeros((r, data.p - 1))
+    out["beta"] = _batch_beta_draw(data.xtx, data.xty, diag, off, sigma2, rng)
+    out["sigma2"] = sigma2
+    return out
 
 
-def _batch_beta_draw(data: Dataset, diag: np.ndarray, off: np.ndarray, sigma2: np.ndarray, rng: RngStream):
-    """Vectorized beta draws for per-row tridiagonal prior precisions."""
+def _batch_beta_draw(xtx: np.ndarray, xty: np.ndarray, diag: np.ndarray, off: np.ndarray,
+                     sigma2: np.ndarray, rng: RngStream):
+    """Vectorized draws from N((X'X + P)^{-1} X'y, sigma2 (X'X + P)^{-1}) for per-row tridiagonal P."""
     r, p = diag.shape
-    a = np.broadcast_to(data.xtx, (r, p, p)).copy()
+    a = np.broadcast_to(xtx, (r, p, p)).copy()
     idx = np.arange(p)
     a[:, idx, idx] += diag
     if p > 1:
@@ -340,7 +347,7 @@ def _batch_beta_draw(data: Dataset, diag: np.ndarray, off: np.ndarray, sigma2: n
         a[:, j, j + 1] += off
         a[:, j + 1, j] += off
     chol = np.linalg.cholesky(a)
-    mean = np.linalg.solve(a, np.broadcast_to(data.xty, (r, p))[..., None])
+    mean = np.linalg.solve(a, np.broadcast_to(xty, (r, p))[..., None])
     z = rng.gen.standard_normal((r, p, 1))
     noise = np.linalg.solve(np.transpose(chol, (0, 2, 1)), z)
     return (mean + np.sqrt(sigma2)[:, None, None] * noise)[..., 0]
@@ -356,7 +363,8 @@ class ChainConfig:
 
     ``burn_in`` defaults to 10% of ``n_iter``; ``init_mode`` is one of
     ``"default"`` (penalized-solution start), ``"zero"`` (beta = 0, unit
-    scales) or ``"custom"`` with an explicit ``init_state``.
+    scales) or ``"custom"`` with an explicit ``init_state``; with
+    ``"default"``, an ``init_state`` is the penalized start, already solved.
     """
 
     n_iter: int
@@ -405,34 +413,19 @@ class ChainOutput:
         return np.column_stack([self.column(lbl) for lbl in labels])
 
 
-def _labels(model_id: str, p: int, groups: GroupStructure | None) -> list:
-    out = [f"beta.{i + 1}" for i in range(p)]
+def _blocks(model_id: str, p: int, groups: GroupStructure | None) -> tuple:
+    """(state field, length) of each stored vector block, in column order."""
     if model_id == "bfl":
-        out += [f"tau2.{i + 1}" for i in range(p)]
-        out += [f"w2.{i + 1}" for i in range(p - 1)]
-    elif model_id == "bgl":
-        out += [f"tau2.{k + 1}" for k in range(groups.K)]
-    else:
-        out += [f"tau2.{k + 1}" for k in range(groups.K)]
-        out += [f"gamma2.{i + 1}" for i in range(p)]
-    out.append("sigma2")
-    return out
-
-
-def _flatten(model_id: str, state) -> np.ndarray:
-    if model_id == "bfl":
-        parts = (state.beta, state.tau2, state.w2, [state.sigma2])
-    elif model_id == "bgl":
-        parts = (state.beta, state.tau2, [state.sigma2])
-    else:
-        parts = (state.beta, state.tau2, state.gamma2, [state.sigma2])
-    return np.concatenate([np.asarray(x, dtype=float) for x in parts])
+        return (("beta", p), ("tau2", p), ("w2", p - 1))
+    if model_id == "bgl":
+        return (("beta", p), ("tau2", groups.K))
+    return (("beta", p), ("tau2", groups.K), ("gamma2", p))
 
 
 def initial_state(model_id: str, data: Dataset, hyper: Hyperparameters,
                   groups: GroupStructure | None, config: ChainConfig):
     """Resolve the configured starting state (sigma2 left unset)."""
-    if config.init_mode == "custom":
+    if config.init_mode == "custom" or (config.init_mode == "default" and config.init_state is not None):
         return config.init_state
     if config.init_mode == "zero":
         zeros = np.zeros(data.p)
@@ -456,7 +449,8 @@ def run_chain(model_id: str, data: Dataset, hyper: Hyperparameters,
     """Run one Gibbs chain and store post-burn-in, thinned iterates.
 
     The stored row count is floor((n_iter - burn_in) / thin); runs are
-    reproducible from ``(config.seed, config.stream_id)``.
+    reproducible from ``(config.seed, config.stream_id)``.  Inputs are
+    checked here, once; the sweeps run unchecked apart from their guard.
     """
     if model_id not in MODEL_IDS:
         raise InvalidParameterError(f"unknown model id {model_id!r}")
@@ -469,7 +463,13 @@ def run_chain(model_id: str, data: Dataset, hyper: Hyperparameters,
 
     rng = RngStream(config.seed, config.stream_id)
     state = initial_state(model_id, data, hyper, groups, config)
-    labels = _labels(model_id, data.p, groups)
+    columns, labels = [], []
+    for name, length in _blocks(model_id, data.p, groups):
+        if np.shape(getattr(state, name, None)) != (length,):
+            raise StructureError(f"the {model_id} start state needs a length-{length} {name!r} vector")
+        columns.append((name, slice(len(labels), len(labels) + length)))
+        labels += [f"{name}.{i + 1}" for i in range(length)]
+    labels.append("sigma2")
     n_keep = (config.n_iter - config.burn_in) // config.thin
     draws = np.empty((n_keep, len(labels)))
 
@@ -484,7 +484,10 @@ def run_chain(model_id: str, data: Dataset, hyper: Hyperparameters,
     for j in range(config.n_iter):
         state = step(state)
         if j >= config.burn_in and (j - config.burn_in) % config.thin == config.thin - 1:
-            draws[kept] = _flatten(model_id, state)
+            row = draws[kept]
+            for name, cols in columns:
+                row[cols] = getattr(state, name)
+            row[-1] = state.sigma2
             kept += 1
     assert kept == n_keep
 

@@ -8,7 +8,8 @@ reuse the same storage with a zero band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -93,14 +94,6 @@ class SymTridiagonal:
             out += 2.0 * float(np.dot(self.off * v[:-1], v[1:]))
         return out
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        out = self.diag * v
-        if self.p > 1:
-            out[:-1] += self.off * v[1:]
-            out[1:] += self.off * v[:-1]
-        return out
-
 
 @dataclass
 class Dataset:
@@ -177,9 +170,9 @@ class GroupStructure:
         return tuple(out)
 
     @cached_property
-    def index_of(self) -> np.ndarray:
-        """Length-p array mapping each coefficient to its group index."""
-        return np.repeat(np.arange(self.K), self.sizes)
+    def starts(self) -> np.ndarray:
+        """Index of each group's first coefficient."""
+        return np.concatenate(([0], np.cumsum(self.sizes)[:-1]))
 
     def expand(self, per_group: np.ndarray) -> np.ndarray:
         """Repeat a K-vector into a p-vector in group order."""
@@ -193,7 +186,7 @@ class GroupStructure:
         beta = np.asarray(beta, dtype=float)
         if beta.shape[0] != self.p:
             raise StructureError(f"beta has length {beta.shape[0]}, structure needs {self.p}")
-        return np.add.reduceat(beta * beta, np.concatenate(([0], np.cumsum(self.sizes)[:-1])))
+        return np.add.reduceat(beta * beta, self.starts)
 
     def check_p(self, p: int) -> None:
         if self.p != p:
@@ -215,10 +208,11 @@ class Hyperparameters:
     xi: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.lambda1) and self.lambda1 > 0):
-            raise InvalidParameterError("lambda1 must be strictly positive")
-        if not (np.isfinite(self.lambda2) and self.lambda2 > 0):
-            raise InvalidParameterError("lambda2 must be strictly positive")
+        for name in ("lambda1", "lambda2"):
+            lam = getattr(self, name)
+            # The kernels read lambda^2, which must neither overflow nor underflow to 0.
+            if not (np.isfinite(lam) and lam > 0 and 0.0 < float(lam) * float(lam) < math.inf):
+                raise InvalidParameterError(f"{name} must be strictly positive with a finite nonzero square")
         if not (np.isfinite(self.alpha) and self.alpha >= 0):
             raise InvalidParameterError("alpha must be nonnegative")
         if not (np.isfinite(self.xi) and self.xi >= 0):
@@ -291,6 +285,17 @@ class SparseGroupState:
         self.sigma2 = _check_state_sigma2(self.sigma2)
 
 
+def _unchecked_constructor(cls):
+    """``cls(*values)`` minus ``__post_init__``, for kernel output the sweep guard has checked."""
+    names = tuple(f.name for f in fields(cls))
+
+    def make(*values):
+        state = object.__new__(cls)
+        state.__dict__.update(zip(names, values))
+        return state
+    return make
+
+
 def build_fused_precision(tau2, w2) -> SymTridiagonal:
     """Tridiagonal prior precision of the fused model.
 
@@ -299,16 +304,20 @@ def build_fused_precision(tau2, w2) -> SymTridiagonal:
     The result is strictly diagonally dominant with positive diagonal, hence SPD.
     """
     tau2 = _as_positive_vector("tau2", tau2)
-    p = tau2.shape[0]
-    w2 = _as_positive_vector("w2", w2, p - 1)
+    w2 = _as_positive_vector("w2", w2, tau2.shape[0] - 1)
+    return SymTridiagonal(*_fused_bands(tau2, w2))
+
+
+def _fused_bands(tau2: np.ndarray, w2: np.ndarray) -> tuple:
+    """(diagonal, off-diagonal) of :func:`build_fused_precision` from unchecked float
+    arrays, or of each row's precision for 2-d ``tau2`` and ``w2``."""
     inv_tau = 1.0 / tau2
-    if p == 1:
-        return SymTridiagonal(diag=inv_tau, off=np.zeros(0))
+    if tau2.shape[-1] == 1:
+        return inv_tau, np.zeros(tau2.shape[:-1] + (0,))
     inv_w = 1.0 / w2
-    diag = inv_tau.copy()
-    diag[:-1] += inv_w
-    diag[1:] += inv_w
-    return SymTridiagonal(diag=diag, off=-inv_w)
+    inv_tau[..., :-1] += inv_w
+    inv_tau[..., 1:] += inv_w
+    return inv_tau, -inv_w
 
 
 def fused_quadratic_form(beta, tau2, w2) -> float:
@@ -321,9 +330,14 @@ def fused_quadratic_form(beta, tau2, w2) -> float:
     p = beta.shape[0]
     tau2 = _as_positive_vector("tau2", tau2, p)
     w2 = _as_positive_vector("w2", w2, p - 1)
+    return _fused_quad(beta, np.diff(beta), tau2, w2)
+
+
+def _fused_quad(beta: np.ndarray, diff: np.ndarray, tau2: np.ndarray, w2: np.ndarray) -> float:
+    """:func:`fused_quadratic_form` from unchecked arrays, ``diff`` being ``np.diff(beta)``."""
     out = float(np.sum(beta * beta / tau2))
-    if p > 1:
-        out += float(np.sum(np.diff(beta) ** 2 / w2))
+    if beta.shape[0] > 1:
+        out += float(np.sum(diff**2 / w2))
     return out
 
 
@@ -332,8 +346,7 @@ def build_group_precision(tau2, groups: GroupStructure) -> SymTridiagonal:
     tau2 = _as_positive_vector("tau2", tau2)
     if tau2.shape[0] != groups.K:
         raise StructureError(f"tau2 has length {tau2.shape[0]} but there are {groups.K} groups")
-    diag = groups.expand(1.0 / tau2)
-    return SymTridiagonal(diag=diag, off=np.zeros(max(groups.p - 1, 0)))
+    return SymTridiagonal(diag=_group_diag(tau2, groups), off=np.zeros(max(groups.p - 1, 0)))
 
 
 def build_sparse_precision(tau2, gamma2, groups: GroupStructure) -> SymTridiagonal:
@@ -342,5 +355,14 @@ def build_sparse_precision(tau2, gamma2, groups: GroupStructure) -> SymTridiagon
     gamma2 = _as_positive_vector("gamma2", gamma2, groups.p)
     if tau2.shape[0] != groups.K:
         raise StructureError(f"tau2 has length {tau2.shape[0]} but there are {groups.K} groups")
-    diag = groups.expand(1.0 / tau2) + 1.0 / gamma2
-    return SymTridiagonal(diag=diag, off=np.zeros(max(groups.p - 1, 0)))
+    return SymTridiagonal(diag=_sparse_diag(tau2, gamma2, groups), off=np.zeros(max(groups.p - 1, 0)))
+
+
+def _group_diag(tau2: np.ndarray, groups: GroupStructure) -> np.ndarray:
+    """Diagonal of :func:`build_group_precision` from an unchecked K-vector (or rows of them)."""
+    return np.repeat(1.0 / tau2, groups.sizes, axis=-1)
+
+
+def _sparse_diag(tau2: np.ndarray, gamma2: np.ndarray, groups: GroupStructure) -> np.ndarray:
+    """Diagonal of :func:`build_sparse_precision` from unchecked arrays (or rows of them)."""
+    return _group_diag(tau2, groups) + 1.0 / gamma2

@@ -137,13 +137,6 @@ def effective_sample_size(chain, g=None) -> float:
     return float(np.min(per_coord))
 
 
-def univariate_ess(mat: np.ndarray, sig_diag: np.ndarray) -> np.ndarray:
-    """Per-coordinate N * sample variance / asymptotic variance."""
-    n = mat.shape[0]
-    var = mat.var(axis=0, ddof=1)
-    return n * var / np.maximum(sig_diag, 1e-300)
-
-
 @dataclass
 class SummaryReport:
     """Per-parameter posterior summaries plus multivariate Monte Carlo error."""

@@ -17,9 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .distributions import RngStream, sample_inverse_gamma
+from .distributions import RngStream, sample_gaussian_regression_conditional, sample_inverse_gamma
 from .errors import ConfigurationError, GridConvergenceError, InvalidParameterError, PlgError
-from .gibbs import bfl_step, bgl_step, bsgl_step, draw_scales
+from .gibbs import (
+    _batch_beta_draw, bfl_full_conditional_params, bfl_step, bgl_full_conditional_params, bgl_step,
+    bsgl_full_conditional_params, bsgl_step, draw_scales,
+)
 from .model_core import (
     Dataset,
     FusedState,
@@ -27,8 +30,10 @@ from .model_core import (
     GroupStructure,
     Hyperparameters,
     SparseGroupState,
+    _fused_bands,
     build_fused_precision,
-    fused_quadratic_form,
+    build_group_precision,
+    build_sparse_precision,
 )
 from .output_analysis import batch_means_cov
 
@@ -75,19 +80,6 @@ def _tridiag_det_batch(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return f
 
 
-def _fused_precision_batch(tau2: np.ndarray, w2: np.ndarray) -> tuple:
-    diag = 1.0 / tau2
-    if tau2.shape[1] > 1:
-        inv_w = 1.0 / w2
-        diag = diag.copy()
-        diag[:, :-1] += inv_w
-        diag[:, 1:] += inv_w
-        off = -inv_w
-    else:
-        off = np.zeros((tau2.shape[0], 0))
-    return diag, off
-
-
 def sample_fused_prior_scales(p: int, lambda1: float, lambda2: float, rng: RngStream,
                               size: int = 1) -> tuple:
     """Exact draws from the coupled fused-scale prior by rejection.
@@ -108,7 +100,7 @@ def sample_fused_prior_scales(p: int, lambda1: float, lambda2: float, rng: RngSt
         if p == 1:
             accept = np.ones(m, dtype=bool)
         else:
-            diag, off = _fused_precision_batch(tau2, w2)
+            diag, off = _fused_bands(tau2, w2)
             det_prec = _tridiag_det_batch(diag, off)
             ratio = 1.0 / np.sqrt(det_prec * np.prod(2.0 * tau2, axis=1))
             accept = rng.gen.uniform(size=m) < ratio
@@ -143,23 +135,6 @@ def _sample_bsgl_prior_scales(groups: GroupStructure, lambda1: float, lambda2: f
     return tau_out, gamma_out
 
 
-def _beta_given_scales_batch(diag: np.ndarray, off: np.ndarray, sigma2: np.ndarray,
-                             rng: RngStream) -> np.ndarray:
-    """beta ~ N(0, sigma2 P^{-1}) for a batch of tridiagonal precisions P."""
-    r, p = diag.shape
-    a = np.zeros((r, p, p))
-    idx = np.arange(p)
-    a[:, idx, idx] = diag
-    if p > 1:
-        j = np.arange(p - 1)
-        a[:, j, j + 1] = off
-        a[:, j + 1, j] = off
-    chol = np.linalg.cholesky(a)
-    z = rng.gen.standard_normal((r, p, 1))
-    beta = np.linalg.solve(np.transpose(chol, (0, 2, 1)), z)[..., 0]
-    return np.sqrt(sigma2)[:, None] * beta
-
-
 def sample_joint_prior(model_id: str, p: int, hyper: Hyperparameters, rng: RngStream,
                        groups: GroupStructure | None = None, size: int = 1) -> dict:
     """Exact joint prior draws of (beta, scales, sigma2) for one model.
@@ -172,8 +147,8 @@ def sample_joint_prior(model_id: str, p: int, hyper: Hyperparameters, rng: RngSt
     sigma2 = sample_inverse_gamma(hyper.alpha, hyper.xi, rng, size=r)
     if model_id == "bfl":
         tau2, w2 = sample_fused_prior_scales(p, hyper.lambda1, hyper.lambda2, rng, size=r)
-        diag, off = _fused_precision_batch(tau2, w2)
-        beta = _beta_given_scales_batch(diag, off, sigma2, rng)
+        # beta ~ N(0, sigma2 P^{-1}): the regression draw with X'X = 0 and X'y = 0
+        beta = _batch_beta_draw(np.zeros((p, p)), np.zeros(p), *_fused_bands(tau2, w2), sigma2, rng)
         return {"beta": beta, "tau2": tau2, "w2": w2, "sigma2": sigma2}
     if groups is None:
         raise InvalidParameterError(f"{model_id} needs a GroupStructure")
@@ -324,14 +299,6 @@ def update_order_check(model_id: str, state, data: Dataset, hyper: Hyperparamete
     fresh sigma2, beta from the fresh scales.  Any reordering (or extra
     consumption) breaks the bit-level match.
     """
-    from .distributions import sample_gaussian_regression_conditional
-    from .gibbs import (
-        bfl_full_conditional_params,
-        bgl_full_conditional_params,
-        bsgl_full_conditional_params,
-    )
-    from .model_core import build_group_precision, build_sparse_precision
-
     rng_step = RngStream(seed, 17)
     rng_replay = RngStream(seed, 17)
 
@@ -344,7 +311,6 @@ def update_order_check(model_id: str, state, data: Dataset, hyper: Hyperparamete
         prec = build_fused_precision(tau2, w2)
         beta = sample_gaussian_regression_conditional(data.xtx, data.xty, prec, sigma2, rng_replay)
         expected = {"sigma2": sigma2, "tau2": tau2, "w2": w2, "beta": beta}
-        got = {"sigma2": out.sigma2, "tau2": out.tau2, "w2": out.w2, "beta": out.beta}
     elif model_id == "bgl":
         out = (step_fn or (lambda s, d, h, r: bgl_step(s, d, h, groups, r)))(state, data, hyper, rng_step)
         params = bgl_full_conditional_params(state, data, hyper, groups)
@@ -353,7 +319,6 @@ def update_order_check(model_id: str, state, data: Dataset, hyper: Hyperparamete
         prec = build_group_precision(tau2, groups)
         beta = sample_gaussian_regression_conditional(data.xtx, data.xty, prec, sigma2, rng_replay)
         expected = {"sigma2": sigma2, "tau2": tau2, "beta": beta}
-        got = {"sigma2": out.sigma2, "tau2": out.tau2, "beta": out.beta}
     elif model_id == "bsgl":
         out = (step_fn or (lambda s, d, h, r: bsgl_step(s, d, h, groups, r)))(state, data, hyper, rng_step)
         params = bsgl_full_conditional_params(state, data, hyper, groups)
@@ -363,10 +328,10 @@ def update_order_check(model_id: str, state, data: Dataset, hyper: Hyperparamete
         prec = build_sparse_precision(tau2, gamma2, groups)
         beta = sample_gaussian_regression_conditional(data.xtx, data.xty, prec, sigma2, rng_replay)
         expected = {"sigma2": sigma2, "tau2": tau2, "gamma2": gamma2, "beta": beta}
-        got = {"sigma2": out.sigma2, "tau2": out.tau2, "gamma2": out.gamma2, "beta": out.beta}
     else:
         raise InvalidParameterError(f"unknown model id {model_id!r}")
 
+    got = {key: getattr(out, key) for key in expected}
     mismatches = {
         key: float(np.max(np.abs(np.asarray(got[key]) - np.asarray(expected[key]))))
         for key in expected
@@ -455,7 +420,7 @@ def fused_prior_propriety_check(p: int, lambda1: float, lambda2: float,
     tau2 = rng.gen.exponential(2.0 / lambda1**2, size=(m, p))
     if p > 1:
         w2 = rng.gen.gamma(0.5, 2.0 / lambda2**2, size=(m, p - 1))
-        diag, off = _fused_precision_batch(tau2, w2)
+        diag, off = _fused_bands(tau2, w2)
         det_prec = _tridiag_det_batch(diag, off)
         ratio = 1.0 / np.sqrt(det_prec * np.prod(2.0 * tau2, axis=1)) * 2.0 ** (p / 2.0)
     else:

@@ -158,6 +158,41 @@ class TestFit:
             b = (tmp_path / "threads" / f"samples_{idx}.csv").read_bytes()
             assert a == b
 
+    def test_default_start_solved_once_per_fit(self, tmp_path, monkeypatch):
+        from plgibbs import solvers
+
+        calls = []
+        for model in ("bfl", "bgl", "bsgl"):
+            def counted(*args, _solve=getattr(solvers, f"default_start_{model}"), **kwargs):
+                calls.append(1)
+                return _solve(*args, **kwargs)
+
+            monkeypatch.setattr(solvers, f"default_start_{model}", counted)
+        data_path = tmp_path / "d.csv"
+        write_dataset(data_path, n=6, p=2, seed=8)
+        out = tmp_path / "out"
+        assert main([
+            "fit", "--model", "bfl", "--data", str(data_path), "--iters", "20", "--burnin", "0",
+            "--chains", "2", "--init", "default", "--out-dir", str(out),
+        ]) == 0
+        assert len(calls) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert [c["config"]["config"]["init_mode"] for c in summary["chains"]] == ["default", "default"]
+
+    def test_zero_response_without_xi_exits_1(self, tmp_path, capsys):
+        data_path = tmp_path / "d.csv"
+        with open(data_path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["y", "x1", "x2"])
+            for row in ([0.0, 1.0, 0.5], [0.0, -0.3, 2.0], [0.0, 0.7, -1.1]):
+                writer.writerow(row)
+        rc = main([
+            "fit", "--model", "bfl", "--data", str(data_path), "--xi", "0", "--init", "zero",
+            "--iters", "10", "--out-dir", str(tmp_path / "o"),
+        ])
+        assert rc == 1
+        assert "sigma2 rate" in capsys.readouterr().err
+
     def test_init_file_roundtrip(self, tmp_path):
         data_path = tmp_path / "d.csv"
         write_dataset(data_path, n=6, p=2, seed=4)

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plgibbs.distributions import RngStream
-from plgibbs.errors import InvalidParameterError, StructureError
+from plgibbs.distributions import (
+    RngStream,
+    sample_gaussian_regression_conditional,
+    sample_inverse_gamma,
+)
+from plgibbs.errors import InvalidParameterError, PlgError, StructureError
 from plgibbs.gibbs import (
     ChainConfig,
     batch_transition,
@@ -12,6 +18,7 @@ from plgibbs.gibbs import (
     bgl_step,
     bsgl_full_conditional_params,
     bsgl_step,
+    draw_scales,
     run_chain,
 )
 from plgibbs.model_core import (
@@ -21,6 +28,10 @@ from plgibbs.model_core import (
     GroupStructure,
     Hyperparameters,
     SparseGroupState,
+    build_fused_precision,
+    build_group_precision,
+    build_sparse_precision,
+    fused_quadratic_form,
 )
 from plgibbs.verification import sample_joint_prior, update_order_check
 
@@ -269,3 +280,109 @@ class TestRunChain:
         with pytest.raises(InvalidParameterError):
             ChainConfig(n_iter=10, thin=0, seed=0)
         assert ChainConfig(n_iter=100, seed=0).burn_in == 10
+
+
+def _replay_sweep(model, beta, blocks, data, hyper, groups, rng):
+    """One sweep rebuilt from the public, validated primitives."""
+    if model == "bfl":
+        quad = fused_quadratic_form(beta, blocks["tau2"], blocks["w2"])
+    elif model == "bgl":
+        quad = build_group_precision(blocks["tau2"], groups).quad_form(beta)
+    else:
+        quad = build_sparse_precision(blocks["tau2"], blocks["gamma2"], groups).quad_form(beta)
+    resid = data.y - data.X @ beta
+    shape = (data.n + data.p + 2.0 * hyper.alpha) / 2.0
+    rate = (float(resid @ resid) + quad + 2.0 * hyper.xi) / 2.0
+    sigma2 = sample_inverse_gamma(shape, rate, rng)
+    if model == "bfl":
+        tau2 = draw_scales(np.abs(beta), hyper.lambda1**2, sigma2, rng)
+        w2 = draw_scales(np.abs(np.diff(beta)), hyper.lambda2**2, sigma2, rng)
+        blocks, prec = {"tau2": tau2, "w2": w2}, build_fused_precision(tau2, w2)
+    else:
+        tau2 = draw_scales(np.sqrt(groups.group_sq_norms(beta)), hyper.lambda1**2, sigma2, rng)
+        if model == "bgl":
+            blocks, prec = {"tau2": tau2}, build_group_precision(tau2, groups)
+        else:
+            gamma2 = draw_scales(np.abs(beta), hyper.lambda2**2, sigma2, rng)
+            blocks, prec = {"tau2": tau2, "gamma2": gamma2}, build_sparse_precision(tau2, gamma2, groups)
+    beta = sample_gaussian_regression_conditional(data.xtx, data.xty, prec, sigma2, rng)
+    return beta, blocks, sigma2
+
+
+class TestMultiSweepReplay:
+    """run_chain equals, row for row, a loop over the validated primitives."""
+
+    @pytest.mark.parametrize("model", ["bfl", "bgl", "bsgl"])
+    def test_chain_from_zero_start(self, model, small_data, hyper, groups22):
+        self._check(model, small_data, hyper, None if model == "bfl" else groups22, n_iter=60)
+
+    def test_p1_fused_chain(self):
+        # the shape of the quadrature oracle's chain
+        rng = RngStream(400, 0)
+        x_mat = rng.gen.standard_normal((6, 1))
+        data = Dataset(y=1.2 * x_mat[:, 0] + 0.8 * rng.gen.standard_normal(6), X=x_mat)
+        self._check("bfl", data, Hyperparameters(1.0, 1.0, alpha=3.0, xi=2.0), None, n_iter=200)
+
+    @staticmethod
+    def _check(model, data, hyper, groups, n_iter):
+        out = run_chain(model, data, hyper, groups=groups,
+                        config=ChainConfig(n_iter=n_iter, burn_in=0, seed=29, stream_id=4, init_mode="zero"))
+        rng = RngStream(29, 4)
+        beta = np.zeros(data.p)
+        k = data.p if groups is None else groups.K
+        blocks = {"tau2": np.ones(k)}
+        if model == "bfl":
+            blocks["w2"] = np.ones(data.p - 1)
+        elif model == "bsgl":
+            blocks["gamma2"] = np.ones(data.p)
+        # beta = 0: every scale of the first sweep takes the Inverse-Gamma fallback
+        for j in range(n_iter):
+            beta, blocks, sigma2 = _replay_sweep(model, beta, blocks, data, hyper, groups, rng)
+            row = np.concatenate([beta, *blocks.values(), [sigma2]])
+            assert np.array_equal(out.draws[j], row), f"sweep {j} differs"
+
+
+class TestLoudFailure:
+    def test_zero_response_without_xi_raises(self):
+        # rss = 0 and beta'P beta = 0 at the zero start, so the sigma2 rate is 0
+        data = Dataset(y=np.zeros(5), X=np.random.default_rng(3).standard_normal((5, 2)))
+        hyper = Hyperparameters(1.0, 1.0, alpha=1.0, xi=0.0)
+        for model, groups in (("bfl", None), ("bgl", GroupStructure((2,))), ("bsgl", GroupStructure((1, 1)))):
+            with pytest.raises(InvalidParameterError):
+                run_chain(model, data, hyper, groups=groups,
+                          config=ChainConfig(n_iter=5, burn_in=0, init_mode="zero"))
+
+    def test_start_state_must_match_the_model(self, small_data, hyper, groups22):
+        bad = GroupState(np.zeros(4), np.ones(3))
+        with pytest.raises(StructureError):
+            run_chain("bgl", small_data, hyper, groups=groups22,
+                      config=ChainConfig(n_iter=5, burn_in=0, init_mode="custom", init_state=bad))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        model=st.sampled_from(["bfl", "bgl", "bsgl"]),
+        n=st.integers(1, 6),
+        p=st.integers(1, 8),
+        duplicate=st.booleans(),
+        log_lam=st.tuples(st.floats(-6, 6), st.floats(-6, 6)),
+        xi=st.sampled_from([0.0, 1e-8, 1.0]),
+        y_scale=st.sampled_from([0.0, 1e-6, 1.0, 1e4]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_hostile_inputs_stay_finite_or_raise(self, model, n, p, duplicate, log_lam, xi, y_scale, seed):
+        # admissible but hostile: lambda in 1e-6..1e6, n < p, duplicated columns, n = 1-2
+        gen = np.random.default_rng(seed)
+        x_mat = gen.standard_normal((n, p))
+        if duplicate and p > 1:
+            x_mat[:, -1] = x_mat[:, 0]
+        data = Dataset(y=y_scale * gen.standard_normal(n), X=x_mat)
+        hyper = Hyperparameters(10.0 ** log_lam[0], 10.0 ** log_lam[1], alpha=0.0, xi=xi)
+        groups = None if model == "bfl" else GroupStructure((1,) * p if model == "bsgl" else (p,))
+        try:
+            out = run_chain(model, data, hyper, groups=groups,
+                            config=ChainConfig(n_iter=40, burn_in=0, seed=seed, init_mode="zero"))
+        except PlgError:
+            return
+        assert np.all(np.isfinite(out.draws))
+        scales = [j for j, label in enumerate(out.column_labels) if not label.startswith("beta.")]
+        assert np.all(out.draws[:, scales] > 0)

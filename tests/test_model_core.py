@@ -126,14 +126,13 @@ class TestSparsePrecision:
 
 
 class TestSymTridiagonal:
-    def test_quad_form_and_matvec_match_dense(self):
+    def test_quad_form_matches_dense(self):
         rng = np.random.default_rng(10)
         for _ in range(30):
             p = rng.integers(1, 9)
             m = SymTridiagonal(rng.uniform(1, 3, p), rng.uniform(-0.5, 0.5, max(p - 1, 0)))
             v = rng.standard_normal(p)
             assert m.quad_form(v) == pytest.approx(float(v @ m.to_dense() @ v), rel=1e-12, abs=1e-12)
-            assert np.allclose(m.matvec(v), m.to_dense() @ v)
 
     def test_banded_upper_matches_scipy_layout(self):
         m = SymTridiagonal([2.0, 3.0, 4.0], [-1.0, -0.5])
@@ -152,7 +151,6 @@ class TestContainers:
     def test_group_structure_derived_fields(self):
         groups = GroupStructure((2, 3, 1))
         assert groups.K == 3 and groups.p == 6 and groups.max_size == 3
-        assert np.array_equal(groups.index_of, [0, 0, 1, 1, 1, 2])
         beta = np.array([1.0, 2.0, 1.0, 1.0, 1.0, 5.0])
         assert np.allclose(groups.group_sq_norms(beta), [5.0, 3.0, 25.0])
 
@@ -167,6 +165,15 @@ class TestContainers:
             Hyperparameters(lambda1=0.0)
         with pytest.raises(InvalidParameterError):
             Hyperparameters(lambda1=1.0, alpha=-0.1)
+        # lambda^2 overflows to inf or underflows to 0
+        with pytest.raises(InvalidParameterError):
+            Hyperparameters(lambda1=1e200)
+        with pytest.raises(InvalidParameterError):
+            Hyperparameters(lambda1=1e-200)
+        with pytest.raises(InvalidParameterError):
+            Hyperparameters(lambda1=1.0, lambda2=1e200)
+        with pytest.raises(InvalidParameterError):
+            Hyperparameters(lambda1=1.0, lambda2=1e-200)
         hyper = Hyperparameters(lambda1=2.0, lambda2=3.0, alpha=0.0, xi=0.0)
         assert hyper.alpha == 0.0 and hyper.xi == 0.0
 
