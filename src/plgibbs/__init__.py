@@ -15,6 +15,7 @@ from .ergodicity import (
     drift_rate,
     drift_value,
     empirical_drift_check,
+    log_minorization_epsilon,
     minorization_epsilon,
     small_set_radius,
 )

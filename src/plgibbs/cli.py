@@ -20,12 +20,12 @@ import numpy as np
 from .distributions import RngStream
 from .errors import PlgError
 from .ergodicity import build_drift_report, default_workers, drift_value, empirical_drift_check
-from .gibbs import ChainConfig, ChainOutput, initial_state, run_chain
-from .model_core import Dataset, FusedState, GroupState, GroupStructure, Hyperparameters, SparseGroupState
+from .gibbs import MODEL_IDS, SPECS, ChainConfig, ChainOutput, _blocks, initial_state, run_chain
+from .model_core import Dataset, GroupStructure, Hyperparameters
 from .output_analysis import monte_carlo_mean, summarize
 from . import verification
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 # ---------------------------------------------------------------------------
@@ -109,23 +109,15 @@ def _load_init_state(model_id, init_spec, data, groups):
     if last is None:
         raise PlgError(f"{path}: no state row")
     vals = dict(zip(header, (float(v) for v in last)))
-    p = data.p
-    beta = np.array([vals[f"beta.{i + 1}"] for i in range(p)])
-    if model_id == "bfl":
-        tau2 = np.array([vals[f"tau2.{i + 1}"] for i in range(p)])
-        w2 = np.array([vals[f"w2.{i + 1}"] for i in range(p - 1)])
-        return FusedState(beta, tau2, w2)
-    tau2 = np.array([vals[f"tau2.{k + 1}"] for k in range(groups.K)])
-    if model_id == "bgl":
-        return GroupState(beta, tau2)
-    gamma2 = np.array([vals[f"gamma2.{i + 1}"] for i in range(p)])
-    return SparseGroupState(beta, tau2, gamma2)
+    spec = SPECS[model_id]
+    return spec.state(*(np.array([vals[f"{name}.{i + 1}"] for i in range(length)])
+                        for name, length in _blocks(spec, data.p, groups)))
 
 
 def cmd_fit(args) -> int:
     data = ingest_csv(args.data)
     groups = _parse_groups(args.groups) if args.groups else None
-    if args.model in ("bgl", "bsgl"):
+    if SPECS[args.model].grouped:
         if groups is None:
             raise PlgError(f"--groups is required for model {args.model}")
         groups.check_p(data.p)
@@ -236,10 +228,10 @@ def _verify_instance(seed: int):
 def _suite_geweke(args) -> list:
     checks = []
     groups = GroupStructure((2, 1))
-    for model in ("bfl", "bgl", "bsgl"):
+    for model in MODEL_IDS:
         rng = RngStream(args.seed, 100 + len(checks))
         checks.append(verification.geweke_joint_test(
-            model, n=4, p=3, groups=None if model == "bfl" else groups,
+            model, n=4, p=3, groups=groups if SPECS[model].grouped else None,
             replicates=args.replicates, rng=rng,
         ))
     return checks
@@ -272,19 +264,17 @@ def _suite_drift(args) -> list:
     hyper = Hyperparameters(lambda1=1.0, lambda2=1.5, alpha=1.0, xi=1.0)
     checks = []
     state_rng = RngStream(args.seed, 300)
-    for model in ("bfl", "bgl", "bsgl"):
+    for model in MODEL_IDS:
+        spec = SPECS[model]
+        g = groups if spec.grouped else None
+        lengths = [length for _, length in _blocks(spec, data.p, g)[1:]]
         states = []
         for _ in range(20):
-            g = state_rng.gen
-            beta = 3.0 * g.standard_normal(data.p)
-            if model == "bfl":
-                states.append(FusedState(beta, g.gamma(2.0, 1.0, data.p), g.gamma(2.0, 1.0, data.p - 1), 1.0))
-            elif model == "bgl":
-                states.append(GroupState(beta, g.gamma(2.0, 1.0, groups.K), 1.0))
-            else:
-                states.append(SparseGroupState(beta, g.gamma(2.0, 1.0, groups.K), g.gamma(2.0, 1.0, data.p), 1.0))
+            gen = state_rng.gen
+            beta = 3.0 * gen.standard_normal(data.p)
+            states.append(spec.state(beta, *(gen.gamma(2.0, 1.0, k) for k in lengths), 1.0))
         result = empirical_drift_check(
-            model, states, data, hyper, groups=None if model == "bfl" else groups,
+            model, states, data, hyper, groups=g,
             replicates=3000, rng=RngStream(args.seed, 310),
         )
         checks.append(CheckResult(
@@ -387,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fit = sub.add_parser("fit", help="run Gibbs chains on a CSV dataset")
-    fit.add_argument("--model", required=True, choices=("bfl", "bgl", "bsgl"))
+    fit.add_argument("--model", required=True, choices=MODEL_IDS)
     fit.add_argument("--data", required=True, help="CSV with columns y, x1, x2, ...")
     fit.add_argument("--groups", default=None,
                      help="comma-separated group sizes (bgl/bsgl only), e.g. 2,3,1")

@@ -98,22 +98,26 @@ def sample_inverse_gaussian(mean_param, shape_param, rng: RngStream, size=None):
         out_shape = np.broadcast_shapes(a.shape, b.shape)
     else:
         out_shape = (size,) if isinstance(size, (int, np.integer)) else tuple(size)
-    out = _inverse_gaussian(np.broadcast_to(a, out_shape), np.broadcast_to(b, out_shape), rng, out_shape)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = _inverse_gaussian(np.broadcast_to(a, out_shape), np.broadcast_to(b, out_shape), rng, out_shape)
     return float(out) if out_shape == () else out
 
 
 def _inverse_gaussian(a, b, rng: RngStream, out_shape):
-    """Core of :func:`sample_inverse_gaussian`: ``a`` and ``b`` unchecked, broadcastable to ``out_shape``."""
+    """Core of :func:`sample_inverse_gaussian`: ``a`` and ``b`` unchecked, broadcastable to ``out_shape``.
+
+    Call it with divide, overflow and invalid floating-point warnings off
+    (``np.errstate``): the stable root below divides by zero when ``nu == 0``.
+    """
     nu = np.square(rng.gen.standard_normal(out_shape))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        r = a * nu / b
-        # Smaller root x1 = a (1 - 2 / (1 + sqrt(1 + 4/r))); stable as r -> 0 and r -> inf.
-        # nu == 0 gives r = 0 and x1 = a exactly; fp rounding of the stable form can
-        # reach 0 for astronomically large r, where the true root is ~ b / nu.
-        x1 = a * (1.0 - 2.0 / (1.0 + np.sqrt(1.0 + 4.0 / r)))
-        x1 = np.where(x1 > 0.0, x1, b / nu)
-        u = rng.gen.uniform(size=out_shape)
-        return np.where(u <= a / (a + x1), x1, a * a / x1)
+    r = a * nu / b
+    # Smaller root x1 = a (1 - 2 / (1 + sqrt(1 + 4/r))); stable as r -> 0 and r -> inf.
+    # nu == 0 gives r = 0 and x1 = a exactly; fp rounding of the stable form can
+    # reach 0 for astronomically large r, where the true root is ~ b / nu.
+    x1 = a * (1.0 - 2.0 / (1.0 + np.sqrt(1.0 + 4.0 / r)))
+    x1 = np.where(x1 > 0.0, x1, b / nu)
+    u = rng.gen.uniform(size=out_shape)
+    return np.where(u <= a / (a + x1), x1, a * a / x1)
 
 
 def sample_inverse_gamma(shape, rate, rng: RngStream, size=None):

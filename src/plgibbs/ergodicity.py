@@ -9,6 +9,7 @@ verifies the drift inequality by Monte Carlo one-step transitions.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -19,8 +20,8 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .distributions import RngStream
 from .errors import DegenerateEpsilonError, DriftHypothesisWarning, InvalidParameterError
-from .gibbs import MODEL_IDS, batch_transition
-from .model_core import Dataset, GroupStructure, Hyperparameters, _group_diag, _sparse_diag, fused_quadratic_form
+from .gibbs import ModelSpec, _blocks, _rss, _spec, batch_transition
+from .model_core import Dataset, GroupStructure, Hyperparameters
 
 __all__ = [
     "DriftReport",
@@ -30,15 +31,11 @@ __all__ = [
     "bsgl_drift_rate_alt",
     "drift_constant",
     "minorization_epsilon",
+    "log_minorization_epsilon",
     "small_set_radius",
     "build_drift_report",
     "empirical_drift_check",
 ]
-
-
-def _check_model(model_id: str) -> None:
-    if model_id not in MODEL_IDS:
-        raise InvalidParameterError(f"unknown model id {model_id!r}")
 
 
 def _npa(n: int, p: int, alpha: float) -> float:
@@ -56,24 +53,22 @@ def drift_value(model_id: str, state, data: Dataset, hyper: Hyperparameters,
     V sums the residual quadratic, the prior quadratic form, and
     (lambda^2 / 4)-weighted scale sums; it never involves sigma2.
     """
-    _check_model(model_id)
-    beta = np.asarray(state.beta, dtype=float)
-    resid = data.y - data.X @ beta
-    rss = float(resid @ resid)
-    l1_sq = hyper.lambda1**2
-    l2_sq = hyper.lambda2**2
-    if model_id == "bfl":
-        quad = fused_quadratic_form(beta, state.tau2, state.w2)
-        return rss + quad + 0.25 * l1_sq * float(np.sum(state.tau2)) + 0.25 * l2_sq * float(np.sum(state.w2))
-    if groups is None:
-        raise InvalidParameterError(f"{model_id} needs a GroupStructure")
-    groups.check_p(data.p)
-    if model_id == "bgl":
-        quad = float(np.sum(beta * beta * groups.expand(1.0 / state.tau2)))
-        return rss + quad + 0.25 * l1_sq * float(np.sum(state.tau2))
-    quad = float(np.sum(beta * beta * (groups.expand(1.0 / state.tau2) + 1.0 / state.gamma2)))
-    return (rss + quad + 0.25 * l1_sq * float(np.sum(state.tau2))
-            + 0.25 * l2_sq * float(np.sum(state.gamma2)))
+    spec = _spec(model_id, data.p, groups)
+    _blocks(spec, data.p, groups, state)
+    return float(_drift(spec, np.asarray(state.beta, dtype=float), [getattr(state, b) for b in spec.blocks],
+                        data, hyper, groups))
+
+
+def _drift(spec: ModelSpec, beta, scales, data: Dataset, hyper: Hyperparameters, groups):
+    """V at one state, or at each row of (R, .) arrays of them."""
+    if spec.quad is not None:
+        quad = spec.quad(beta, *scales)
+    else:
+        quad = np.sum(beta * beta * spec.bands(groups, *scales)[0], axis=-1)
+    value = _rss(beta, data) + quad
+    for block, lam in zip(scales, spec.lambdas):
+        value = value + 0.25 * getattr(hyper, lam)**2 * np.sum(block, axis=-1)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +94,7 @@ def drift_rate(model_id: str, n: int, p: int, alpha: float,
     group size ``M``; its guarantee phi < 1 also needs n >= 3 (warned
     otherwise).
     """
-    _check_model(model_id)
+    _spec(model_id)
     _warn_if_small_n(n)
     npa = _npa(n, p, alpha)
     if npa - 2.0 <= 0:
@@ -135,7 +130,7 @@ def drift_constant(model_id: str, n: int, p: int, alpha: float, xi: float, yty: 
                    M: int | None = None, lambda1: float | None = None,
                    lambda2: float | None = None) -> float:
     """Drift constant L paired with :func:`drift_rate`."""
-    _check_model(model_id)
+    _spec(model_id)
     npa = _npa(n, p, alpha)
     if npa - 2.0 <= 0:
         raise InvalidParameterError("need n + p + 2 alpha > 2")
@@ -172,16 +167,17 @@ def _ridge_residual(data: Dataset, ridge: float) -> float:
     return max(data.yty - float(data.xty @ sol), 0.0)
 
 
-def minorization_epsilon(model_id: str, d: float, data: Dataset, hyper: Hyperparameters,
-                         groups: GroupStructure | None = None) -> float:
-    """Minorization constant for the small set {V <= d}.
+def log_minorization_epsilon(model_id: str, d: float, data: Dataset, hyper: Hyperparameters,
+                             groups: GroupStructure | None = None) -> float:
+    """log of the minorization constant for the small set {V <= d}.
 
     Follows the coefficient-bound route: on the sublevel set each |beta_i|
     (or group norm) is bounded by d1 = 2d/lambda, giving a uniform lower
     bound on the scale-draw densities and, through a ridge-regularized
-    residual, on the sigma2 density.  Strictly decreasing in d.
+    residual, on the sigma2 density.  Strictly decreasing in d.  Computed
+    in log space: epsilon itself underflows at realistic n + p.
     """
-    _check_model(model_id)
+    _spec(model_id, data.p, groups)
     if d <= 0:
         raise InvalidParameterError("d must be positive")
     n, p = data.n, data.p
@@ -189,24 +185,18 @@ def minorization_epsilon(model_id: str, d: float, data: Dataset, hyper: Hyperpar
     l2_sq = hyper.lambda2**2
     d_sq = d * d
     if model_id == "bfl":
-        prefactor = np.exp(-1.0)
+        log_prefactor = -1.0
         ridge = l1_sq / (8.0 * d)
         d1_sq = 4.0 * d_sq / l1_sq
         d2_sq = 4.0 * d_sq / l2_sq
         denom = d + 2.0 * hyper.xi + p * p * l2_sq * d2_sq + p * p * l1_sq * d1_sq
     elif model_id == "bgl":
-        if groups is None:
-            raise InvalidParameterError("bgl needs a GroupStructure")
-        groups.check_p(p)
-        prefactor = np.exp(-0.5)
+        log_prefactor = -0.5
         ridge = l1_sq / (4.0 * d)
         d1_sq = 4.0 * d_sq / l1_sq
         denom = d + 2.0 * hyper.xi + groups.K**2 * l1_sq * d1_sq
     else:
-        if groups is None:
-            raise InvalidParameterError("bsgl needs a GroupStructure")
-        groups.check_p(p)
-        prefactor = np.exp(-1.0)
+        log_prefactor = -1.0
         ridge = (l1_sq + l2_sq) / (4.0 * d)
         d1_sq = 4.0 * d_sq / l1_sq
         d2_sq = 4.0 * d_sq / l2_sq
@@ -218,7 +208,15 @@ def minorization_epsilon(model_id: str, d: float, data: Dataset, hyper: Hyperpar
             "set xi > 0 or supply a response with signal outside the ridge fit"
         )
     exponent = 0.5 * (n + p) + hyper.alpha
-    return float(prefactor * (numer / denom) ** exponent)
+    return log_prefactor + exponent * (math.log(numer) - math.log(denom))
+
+
+def minorization_epsilon(model_id: str, d: float, data: Dataset, hyper: Hyperparameters,
+                         groups: GroupStructure | None = None) -> float:
+    """Minorization constant for the small set {V <= d}: the exp of
+    :func:`log_minorization_epsilon`, which underflows to 0.0 once
+    log epsilon falls below about -745."""
+    return math.exp(log_minorization_epsilon(model_id, d, data, hyper, groups))
 
 
 # ---------------------------------------------------------------------------
@@ -227,16 +225,23 @@ def minorization_epsilon(model_id: str, d: float, data: Dataset, hyper: Hyperpar
 
 @dataclass
 class DriftReport:
-    """Drift and minorization constants for one model instance."""
+    """Drift and minorization constants for one model instance.
+
+    ``log_epsilon`` is exact where ``epsilon``, its exp, may underflow to 0.
+    """
 
     model_id: str
     phi: float
     L: float
     d: float
-    epsilon: float
+    log_epsilon: float
     formulas_inputs: dict
     phi_alt: float | None = None  # looser sparse-group variant, None otherwise
     multiplier: float = 1.0
+
+    @property
+    def epsilon(self) -> float:
+        return math.exp(self.log_epsilon)
 
     def to_dict(self) -> dict:
         return {
@@ -246,6 +251,7 @@ class DriftReport:
             "L": self.L,
             "d": self.d,
             "epsilon": self.epsilon,
+            "log_epsilon": self.log_epsilon,
             "multiplier": self.multiplier,
             "inputs": dict(self.formulas_inputs),
         }
@@ -255,7 +261,7 @@ def build_drift_report(model_id: str, data: Dataset, hyper: Hyperparameters,
                        groups: GroupStructure | None = None,
                        multiplier: float = 1.0) -> DriftReport:
     """Assemble phi, L, d and epsilon for one instance."""
-    _check_model(model_id)
+    _spec(model_id)
     n, p = data.n, data.p
     M = groups.max_size if groups is not None else None
     K = groups.K if groups is not None else None
@@ -263,7 +269,7 @@ def build_drift_report(model_id: str, data: Dataset, hyper: Hyperparameters,
     L = drift_constant(model_id, n, p, hyper.alpha, hyper.xi, data.yty,
                        M=M, lambda1=hyper.lambda1, lambda2=hyper.lambda2)
     d = small_set_radius(phi, L, multiplier)
-    eps = minorization_epsilon(model_id, d, data, hyper, groups)
+    log_eps = log_minorization_epsilon(model_id, d, data, hyper, groups)
     phi_alt = None
     if model_id == "bsgl":
         phi_alt = bsgl_drift_rate_alt(n, p, hyper.alpha, M, hyper.lambda1, hyper.lambda2)
@@ -273,7 +279,7 @@ def build_drift_report(model_id: str, data: Dataset, hyper: Hyperparameters,
         "lambda1": hyper.lambda1, "lambda2": hyper.lambda2,
         "yty": data.yty,
     }
-    return DriftReport(model_id=model_id, phi=phi, L=L, d=d, epsilon=eps,
+    return DriftReport(model_id=model_id, phi=phi, L=L, d=d, log_epsilon=log_eps,
                        formulas_inputs=inputs, phi_alt=phi_alt, multiplier=multiplier)
 
 
@@ -300,23 +306,6 @@ class EmpiricalDriftResult:
         return sum(not r["satisfied"] for r in self.rows)
 
 
-def _batch_drift_values(model_id: str, arrs: dict, data: Dataset,
-                        hyper: Hyperparameters, groups: GroupStructure | None) -> np.ndarray:
-    beta, tau2 = arrs["beta"], arrs["tau2"]
-    resid = data.y[None, :] - beta @ data.X.T
-    rss = np.sum(resid * resid, axis=1)
-    l1_sq, l2_sq = hyper.lambda1**2, hyper.lambda2**2
-    if model_id == "bfl":
-        w2 = arrs["w2"]
-        quad = np.sum(beta * beta / tau2, axis=1)
-        if beta.shape[1] > 1:
-            quad = quad + np.sum(np.diff(beta, axis=1) ** 2 / w2, axis=1)
-        return rss + quad + 0.25 * l1_sq * np.sum(tau2, axis=1) + 0.25 * l2_sq * np.sum(w2, axis=1)
-    inv = _group_diag(tau2, groups) if model_id == "bgl" else _sparse_diag(tau2, arrs["gamma2"], groups)
-    value = rss + np.sum(beta * beta * inv, axis=1) + 0.25 * l1_sq * np.sum(tau2, axis=1)
-    return value if model_id == "bgl" else value + 0.25 * l2_sq * np.sum(arrs["gamma2"], axis=1)
-
-
 def default_workers() -> int:
     """Worker cap from the PLG_THREADS environment variable (>= 1)."""
     raw = os.environ.get("PLG_THREADS", "")
@@ -337,7 +326,7 @@ def empirical_drift_check(model_id: str, states, data: Dataset, hyper: Hyperpara
     transitions and tests Ehat[V] <= phi V(state) + L + slack_se * mc_se.
     States are distributed across threads, each with its own substream.
     """
-    _check_model(model_id)
+    spec = _spec(model_id)
     if replicates < 1000:
         raise InvalidParameterError("replicates must be at least 1000")
     if rng is None:
@@ -353,7 +342,7 @@ def empirical_drift_check(model_id: str, states, data: Dataset, hyper: Hyperpara
         idx, state = idx_state
         sub = rng.substream(idx)
         arrs = batch_transition(model_id, state, data, hyper, groups, sub, replicates)
-        v = _batch_drift_values(model_id, arrs, data, hyper, groups)
+        v = _drift(spec, arrs["beta"], [arrs[b] for b in spec.blocks], data, hyper, groups)
         v0 = drift_value(model_id, state, data, hyper, groups)
         est = float(np.mean(v))
         mc_se = float(np.std(v, ddof=1) / np.sqrt(replicates))

@@ -9,6 +9,13 @@ previous beta and the fresh sigma2, and beta from the fresh scales and
 sigma2.  Initial states never need sigma2: it is overwritten before being
 read.
 
+The models differ only in their scale blocks, so each is written once, as a
+:class:`ModelSpec` in ``SPECS``.  One sweep (:func:`_sweep`) runs any spec,
+either as a chain's single transition or as R independent transitions from
+one state; the kernels, ``batch_transition`` and the full-conditional
+parameters all read the spec, and so do the drift function, the update-order
+replay and the mutants elsewhere in the package.
+
 Inputs are validated once, where they enter: ``Dataset``, ``Hyperparameters``,
 ``GroupStructure`` and the state dataclasses check their fields, and
 ``run_chain`` checks the model, groups, config and start state.  A sweep
@@ -23,21 +30,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .distributions import (
     RngStream,
+    _chol_with_jitter,
     _inverse_gamma,
     _inverse_gaussian,
+    _potrs,
     _regression_draw,
     sample_gaussian_regression_conditional,  # looked up here by perfbench/tracing.py
-    sample_inverse_gamma,
+    sample_inverse_gamma,  # looked up here by perfbench/tracing.py
 )
 from .errors import InvalidParameterError, StructureError
-from .model_core import (
+from .model_core import (  # the build_* and fused_quadratic_form names are looked up here by perfbench/tracing.py
     Dataset,
     FusedState,
     GroupState,
@@ -69,12 +77,93 @@ __all__ = [
     "batch_transition",
 ]
 
-MODEL_IDS = ("bfl", "bgl", "bsgl")
-
 # |beta| below this is treated as exactly zero before forming reciprocal-scale
 # means, avoiding overflow in lambda*sigma/|beta| while matching the
 # documented Inverse-Gamma(1/2, lambda^2/2) limit of the conditional.
 ZERO_BETA_TOL = 1e-300
+
+
+# ---------------------------------------------------------------------------
+# Model specs
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """One model's full conditionals, as the sweep reads them.
+
+    Scale block ``k`` is the state field ``blocks[k]``; its reciprocals are
+    drawn given the magnitudes ``magnitudes(beta, groups)[k]`` (|beta_i|,
+    |beta_{i+1} - beta_i| or group norms) and the penalty
+    ``getattr(hyper, lambdas[k])``.  ``bands(groups, *scales)`` gives the
+    prior precision P's diagonal and first off-diagonal (None when P is
+    diagonal) for one state or for rows of them.  ``quad(beta, *scales)`` is
+    beta'P beta; it is None for a diagonal P, whose form is its diagonal
+    times beta^2.  ``grouped`` models need a ``GroupStructure``.
+    """
+
+    state: type
+    blocks: tuple
+    lambdas: tuple
+    magnitudes: Callable
+    bands: Callable
+    quad: Optional[Callable] = None
+    grouped: bool = True
+    # The state constructor a sweep uses: its guard has checked the fields.
+    make: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "make", _unchecked_constructor(self.state))
+
+
+SPECS = {
+    "bfl": ModelSpec(
+        FusedState, ("tau2", "w2"), ("lambda1", "lambda2"),
+        magnitudes=lambda beta, groups: (np.abs(beta), np.abs(beta[1:] - beta[:-1])),
+        bands=lambda groups, tau2, w2: _fused_bands(tau2, w2),
+        quad=_fused_quad, grouped=False),
+    "bgl": ModelSpec(
+        GroupState, ("tau2",), ("lambda1",),
+        magnitudes=lambda beta, groups: (np.sqrt(groups.group_sq_norms(beta)),),
+        bands=lambda groups, tau2: (_group_diag(tau2, groups), None)),
+    "bsgl": ModelSpec(
+        SparseGroupState, ("tau2", "gamma2"), ("lambda1", "lambda2"),
+        magnitudes=lambda beta, groups: (np.sqrt(groups.group_sq_norms(beta)), np.abs(beta)),
+        bands=lambda groups, tau2, gamma2: (_sparse_diag(tau2, gamma2, groups), None)),
+}
+
+MODEL_IDS = tuple(SPECS)
+
+
+def _spec(model_id: str, p: int | None = None, groups: GroupStructure | None = None,
+          missing=InvalidParameterError) -> ModelSpec:
+    """The spec of ``model_id``.  Given ``p``, checks that a grouped model has
+    ``groups`` summing to p, raising ``missing`` if it has none."""
+    try:
+        spec = SPECS[model_id]
+    except (KeyError, TypeError):
+        raise InvalidParameterError(f"unknown model id {model_id!r}") from None
+    if p is not None and spec.grouped:
+        if groups is None:
+            raise missing(f"{model_id} needs a GroupStructure")
+        groups.check_p(p)
+    return spec
+
+
+def _blocks(spec: ModelSpec, p: int, groups: GroupStructure | None, state=None) -> tuple:
+    """(state field, length) of each stored vector block, in column order: a scale
+    block holds one scale per magnitude.  Checks a given ``state`` against them."""
+    lengths = (m.shape[0] for m in spec.magnitudes(np.zeros(p), groups))
+    blocks = (("beta", p),) + tuple(zip(spec.blocks, lengths))
+    if state is not None:
+        for name, length in blocks:
+            if np.shape(getattr(state, name, None)) != (length,):
+                raise StructureError(f"this {spec.state.__name__} needs a length-{length} {name!r} vector")
+    return blocks
+
+
+def _bind(step, spec: ModelSpec, groups):
+    """A model's public step as ``(state, data, hyper, rng) -> state``."""
+    return (lambda s, d, h, r: step(s, d, h, groups, r)) if spec.grouped else step
 
 
 # ---------------------------------------------------------------------------
@@ -124,27 +213,35 @@ def _scale_conditional(magnitudes: np.ndarray, lam_sq: float, sigma2: float) -> 
     return ScaleConditional(ig_mean=mean, ig_shape=lam_sq, fallback=fallback)
 
 
-def _beta_params(prior_precision, data: Dataset):
-    a = data.xtx + prior_precision.to_dense()
-    factor = cho_factor(a, lower=True)
-    mean = cho_solve(factor, data.xty)
-    return mean, np.tril(factor[0])
+def _rss(beta: np.ndarray, data: Dataset):
+    """Residual sum of squares at one beta, or at each row of a (R, p) batch."""
+    if beta.ndim == 1:
+        r = data.y - data.X @ beta
+        return float(r @ r)
+    r = data.y - beta @ data.X.T
+    return np.sum(r * r, axis=1)
 
 
-def _rss(beta: np.ndarray, data: Dataset) -> float:
-    r = data.y - data.X @ beta
-    return float(r @ r)
+def _prior_quad(spec: ModelSpec, beta: np.ndarray, scales, groups) -> float:
+    """beta'P beta at one state, as the sigma2 rate reads it."""
+    if spec.quad is not None:
+        return spec.quad(beta, *scales)
+    return float(np.dot(spec.bands(groups, *scales)[0] * beta, beta))
 
 
-def _full_conditionals(state, data: Dataset, hyper: Hyperparameters, prior_quad: float, prec,
-                       blocks: dict) -> FullConditionals:
-    """Parameters at ``state``; ``blocks`` maps each scale block to its (magnitudes, lambda)."""
-    shape, rate = _sigma2_params(_rss(state.beta, data), prior_quad, data.n, data.p, hyper)
+def _full_conditionals(model_id: str, state, data: Dataset, hyper: Hyperparameters,
+                       groups: GroupStructure | None) -> FullConditionals:
+    spec = _spec(model_id, data.p, groups)
+    _blocks(spec, data.p, groups, state)
+    beta, scales = state.beta, [getattr(state, name) for name in spec.blocks]
+    shape, rate = _sigma2_params(_rss(beta, data), _prior_quad(spec, beta, scales, groups), data.n, data.p, hyper)
     sigma2 = state.sigma2 if state.sigma2 is not None else np.nan
-    scales = {name: _scale_conditional(mags, lam**2, sigma2) for name, (mags, lam) in blocks.items()}
-    mean, chol = _beta_params(prec, data)
-    return FullConditionals(sigma2_shape=shape, sigma2_rate=rate, beta_mean=mean, beta_chol_precision=chol,
-                            **scales)
+    conditionals = {name: _scale_conditional(mags, getattr(hyper, lam)**2, sigma2)
+                    for name, mags, lam in zip(spec.blocks, spec.magnitudes(beta, groups), spec.lambdas)}
+    factor = _chol_with_jitter(data.xtx, *spec.bands(groups, *scales))
+    mean, _ = _potrs(factor, data.xty, lower=1)
+    return FullConditionals(sigma2_shape=shape, sigma2_rate=rate, beta_mean=mean,
+                            beta_chol_precision=np.tril(factor), **conditionals)
 
 
 def bfl_full_conditional_params(state: FusedState, data: Dataset, hyper: Hyperparameters) -> FullConditionals:
@@ -156,9 +253,7 @@ def bfl_full_conditional_params(state: FusedState, data: Dataset, hyper: Hyperpa
     lambda*sigma/|beta_{i+1}-beta_i| and shapes lambda^2; beta is Gaussian
     with mean (X'X + P)^{-1} X'y and covariance sigma2 (X'X + P)^{-1}.
     """
-    quad = fused_quadratic_form(state.beta, state.tau2, state.w2)
-    return _full_conditionals(state, data, hyper, quad, build_fused_precision(state.tau2, state.w2), {
-        "tau2": (np.abs(state.beta), hyper.lambda1), "w2": (np.abs(np.diff(state.beta)), hyper.lambda2)})
+    return _full_conditionals("bfl", state, data, hyper, None)
 
 
 def bgl_full_conditional_params(
@@ -169,21 +264,14 @@ def bgl_full_conditional_params(
     Reciprocal tau2_k is Inverse-Gaussian with mean lambda*sigma/||beta_{G_k}||
     and shape lambda^2 (lambda read from ``hyper.lambda1``).
     """
-    groups.check_p(data.p)
-    prec = build_group_precision(state.tau2, groups)
-    return _full_conditionals(state, data, hyper, prec.quad_form(state.beta), prec, {
-        "tau2": (np.sqrt(groups.group_sq_norms(state.beta)), hyper.lambda1)})
+    return _full_conditionals("bgl", state, data, hyper, groups)
 
 
 def bsgl_full_conditional_params(
     state: SparseGroupState, data: Dataset, hyper: Hyperparameters, groups: GroupStructure
 ) -> FullConditionals:
     """Full-conditional parameters of the sparse-group model at ``state``."""
-    groups.check_p(data.p)
-    prec = build_sparse_precision(state.tau2, state.gamma2, groups)
-    return _full_conditionals(state, data, hyper, prec.quad_form(state.beta), prec, {
-        "tau2": (np.sqrt(groups.group_sq_norms(state.beta)), hyper.lambda1),
-        "gamma2": (np.abs(state.beta), hyper.lambda2)})
+    return _full_conditionals("bsgl", state, data, hyper, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +288,9 @@ def draw_scales(magnitudes: np.ndarray, lam_sq: float, sigma2, rng: RngStream) -
     broadcast against 2-d ``magnitudes``.
 
     The sweep guard's check on a scale block: raises ``InvalidParameterError``
-    unless every draw is strictly positive and finite.
+    unless every draw is strictly positive and finite.  A reciprocal draw of 0
+    would give an infinite scale; the guard, not a floating-point warning,
+    reports it.
     """
     magnitudes = np.asarray(magnitudes, dtype=float)
     if magnitudes.size == 0:
@@ -208,91 +298,76 @@ def draw_scales(magnitudes: np.ndarray, lam_sq: float, sigma2, rng: RngStream) -
     # A batch (2-d magnitudes) comes from one source state, so its zero
     # pattern is constant across rows: columns are all-zero or all-nonzero.
     nonzero = (magnitudes[0] if magnitudes.ndim == 2 else magnitudes) >= ZERO_BETA_TOL
-    root = np.sqrt(lam_sq * np.asarray(sigma2))
+    root = np.sqrt(lam_sq * sigma2)
     n_zero = nonzero.shape[0] - int(np.count_nonzero(nonzero))
-    if n_zero == 0:
-        mean = root / magnitudes
-        out = 1.0 / _inverse_gaussian(mean, lam_sq, rng, mean.shape)
-    else:
-        out = np.empty_like(magnitudes)
-        if n_zero < nonzero.shape[0]:
-            mean = root / magnitudes[..., nonzero]
-            out[..., nonzero] = 1.0 / _inverse_gaussian(mean, lam_sq, rng, mean.shape)
-        out[..., ~nonzero] = 1.0 / _inverse_gamma(0.5, lam_sq / 2.0, rng, out.shape[:-1] + (n_zero,))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if n_zero == 0:
+            mean = root / magnitudes
+            out = 1.0 / _inverse_gaussian(mean, lam_sq, rng, mean.shape)
+        else:
+            out = np.empty_like(magnitudes)
+            if n_zero < nonzero.shape[0]:
+                mean = root / magnitudes[..., nonzero]
+                out[..., nonzero] = 1.0 / _inverse_gaussian(mean, lam_sq, rng, mean.shape)
+            out[..., ~nonzero] = 1.0 / _inverse_gamma(0.5, lam_sq / 2.0, rng, out.shape[:-1] + (n_zero,))
     if not (out.min() > 0.0 and out.max() < math.inf):
         raise InvalidParameterError("scale draws must be strictly positive and finite")
     return out
 
 
 # ---------------------------------------------------------------------------
-# One-sweep kernels
+# The sweep
 # ---------------------------------------------------------------------------
 
-# Constructors of the states a sweep returns: the sweep guard has checked
-# their fields, so ``__post_init__`` is not run again.
-_fused_state = _unchecked_constructor(FusedState)
-_group_state = _unchecked_constructor(GroupState)
-_sparse_group_state = _unchecked_constructor(SparseGroupState)
-
-
-def _draw_sigma2(rss: float, prior_quad: float, data: Dataset, hyper: Hyperparameters,
-                 rng: RngStream) -> float:
-    """sigma2 from its full conditional, guarded: rate and draw finite and positive."""
-    shape, rate = _sigma2_params(rss, prior_quad, data.n, data.p, hyper)
+def _sweep(spec: ModelSpec, state, data: Dataset, hyper: Hyperparameters, groups, rng: RngStream,
+           r: int | None = None) -> tuple:
+    """(beta, scale blocks, sigma2) after one sweep from ``state``: a chain's single
+    draw with ``r`` None, else ``r`` independent draws stacked along a leading axis."""
+    beta = state.beta
+    old = [getattr(state, name) for name in spec.blocks]
+    shape, rate = _sigma2_params(_rss(beta, data), _prior_quad(spec, beta, old, groups), data.n, data.p, hyper)
     if not 0.0 < rate < math.inf:
         raise InvalidParameterError(f"sigma2 rate (rss + beta'P beta + 2 xi)/2 = {rate!r} is not in (0, inf)")
-    sigma2 = float(_inverse_gamma(shape, rate, rng))
-    if not 0.0 < sigma2 < math.inf:
-        raise InvalidParameterError(f"sigma2 draw {sigma2!r} is not in (0, inf)")
-    return sigma2
-
-
-def _draw_beta(data: Dataset, diag: np.ndarray, off, sigma2: float, rng: RngStream) -> np.ndarray:
-    """beta from its full conditional given the prior precision's bands, guarded: finite."""
-    beta = _regression_draw(data.xtx, data.xty, diag, off, sigma2, rng)
+    sigma2 = _inverse_gamma(shape, rate, rng, r)
+    lo, hi = (sigma2, sigma2) if r is None else (sigma2.min(), sigma2.max())
+    if not 0.0 < lo <= hi < math.inf:
+        raise InvalidParameterError(f"sigma2 draws in [{lo!r}, {hi!r}] are not all in (0, inf)")
+    sigma2 = float(sigma2) if r is None else sigma2
+    column = sigma2 if r is None else sigma2[:, None]
+    scales = [draw_scales(m if r is None else np.broadcast_to(m, (r, m.shape[0])), getattr(hyper, lam)**2,
+                          column, rng)
+              for m, lam in zip(spec.magnitudes(beta, groups), spec.lambdas)]
+    diag, off = spec.bands(groups, *scales)
+    beta = (_regression_draw if r is None else _batch_beta_draw)(data.xtx, data.xty, diag, off, sigma2, rng)
     if not np.all(np.isfinite(beta)):
         raise InvalidParameterError("beta draw must be finite")
-    return beta
+    return beta, scales, sigma2
+
+
+def _step(spec: ModelSpec, state, data: Dataset, hyper: Hyperparameters, groups, rng: RngStream):
+    """One chain sweep from ``state``, as a state of the model."""
+    beta, scales, sigma2 = _sweep(spec, state, data, hyper, groups, rng)
+    return spec.make(beta, *scales, sigma2)
 
 
 def bfl_step(state: FusedState, data: Dataset, hyper: Hyperparameters, rng: RngStream) -> FusedState:
     """One fused-model sweep: sigma2 -> (tau2, w2) -> beta."""
-    beta = state.beta
-    diff = np.diff(beta)
-    sigma2 = _draw_sigma2(_rss(beta, data), _fused_quad(beta, diff, state.tau2, state.w2), data, hyper, rng)
-    tau2 = draw_scales(np.abs(beta), hyper.lambda1**2, sigma2, rng)
-    w2 = draw_scales(np.abs(diff), hyper.lambda2**2, sigma2, rng)
-    diag, off = _fused_bands(tau2, w2)
-    return _fused_state(_draw_beta(data, diag, off, sigma2, rng), tau2, w2, sigma2)
+    return _step(SPECS["bfl"], state, data, hyper, None, rng)
 
 
 def bgl_step(
     state: GroupState, data: Dataset, hyper: Hyperparameters, groups: GroupStructure, rng: RngStream
 ) -> GroupState:
     """One group-model sweep: sigma2 -> tau2 -> beta."""
-    beta = state.beta
-    quad = float(np.dot(_group_diag(state.tau2, groups) * beta, beta))
-    sigma2 = _draw_sigma2(_rss(beta, data), quad, data, hyper, rng)
-    tau2 = draw_scales(np.sqrt(groups.group_sq_norms(beta)), hyper.lambda1**2, sigma2, rng)
-    return _group_state(_draw_beta(data, _group_diag(tau2, groups), None, sigma2, rng), tau2, sigma2)
+    return _step(SPECS["bgl"], state, data, hyper, groups, rng)
 
 
 def bsgl_step(
     state: SparseGroupState, data: Dataset, hyper: Hyperparameters, groups: GroupStructure, rng: RngStream
 ) -> SparseGroupState:
     """One sparse-group sweep: sigma2 -> (tau2, gamma2) -> beta."""
-    beta = state.beta
-    quad = float(np.dot(_sparse_diag(state.tau2, state.gamma2, groups) * beta, beta))
-    sigma2 = _draw_sigma2(_rss(beta, data), quad, data, hyper, rng)
-    tau2 = draw_scales(np.sqrt(groups.group_sq_norms(beta)), hyper.lambda1**2, sigma2, rng)
-    gamma2 = draw_scales(np.abs(beta), hyper.lambda2**2, sigma2, rng)
-    beta = _draw_beta(data, _sparse_diag(tau2, gamma2, groups), None, sigma2, rng)
-    return _sparse_group_state(beta, tau2, gamma2, sigma2)
+    return _step(SPECS["bsgl"], state, data, hyper, groups, rng)
 
-
-# ---------------------------------------------------------------------------
-# Batched one-step transitions (shared-formula path for the drift checker)
-# ---------------------------------------------------------------------------
 
 def batch_transition(model_id, state, data, hyper, groups, rng: RngStream, replicates: int) -> dict:
     """``replicates`` independent one-step transitions from one start state.
@@ -302,47 +377,20 @@ def batch_transition(model_id, state, data, hyper, groups, rng: RngStream, repli
     stream consumption; use the scalar kernels when bit-level reproducibility
     of a single chain matters.
     """
-    if model_id not in MODEL_IDS:
-        raise InvalidParameterError(f"unknown model id {model_id!r}")
-    r = int(replicates)
-    beta = state.beta
-    if model_id == "bfl":
-        quad = fused_quadratic_form(beta, state.tau2, state.w2)
-    elif model_id == "bgl":
-        quad = build_group_precision(state.tau2, groups).quad_form(beta)
-    else:
-        quad = build_sparse_precision(state.tau2, state.gamma2, groups).quad_form(beta)
-    shape, rate = _sigma2_params(_rss(beta, data), quad, data.n, data.p, hyper)
-    sigma2 = sample_inverse_gamma(shape, rate, rng, size=r)
-
-    def scales(magnitudes, lam):
-        return draw_scales(np.broadcast_to(magnitudes, (r, len(magnitudes))), lam**2, sigma2[:, None], rng)
-
-    if model_id == "bfl":
-        out = {"tau2": scales(np.abs(beta), hyper.lambda1)}
-        out["w2"] = scales(np.abs(np.diff(beta)), hyper.lambda2)
-        diag, off = _fused_bands(out["tau2"], out["w2"])
-    else:
-        out = {"tau2": scales(np.sqrt(groups.group_sq_norms(beta)), hyper.lambda1)}
-        if model_id == "bgl":
-            diag = _group_diag(out["tau2"], groups)
-        else:
-            out["gamma2"] = scales(np.abs(beta), hyper.lambda2)
-            diag = _sparse_diag(out["tau2"], out["gamma2"], groups)
-        off = np.zeros((r, data.p - 1))
-    out["beta"] = _batch_beta_draw(data.xtx, data.xty, diag, off, sigma2, rng)
-    out["sigma2"] = sigma2
-    return out
+    spec = _spec(model_id)
+    beta, scales, sigma2 = _sweep(spec, state, data, hyper, groups, rng, int(replicates))
+    return {**dict(zip(spec.blocks, scales)), "beta": beta, "sigma2": sigma2}
 
 
-def _batch_beta_draw(xtx: np.ndarray, xty: np.ndarray, diag: np.ndarray, off: np.ndarray,
-                     sigma2: np.ndarray, rng: RngStream):
-    """Vectorized draws from N((X'X + P)^{-1} X'y, sigma2 (X'X + P)^{-1}) for per-row tridiagonal P."""
+def _batch_beta_draw(xtx: np.ndarray, xty: np.ndarray, diag: np.ndarray, off, sigma2: np.ndarray,
+                     rng: RngStream):
+    """Vectorized draws from N((X'X + P)^{-1} X'y, sigma2 (X'X + P)^{-1}) for per-row tridiagonal P
+    (``off`` None for a diagonal P)."""
     r, p = diag.shape
     a = np.broadcast_to(xtx, (r, p, p)).copy()
     idx = np.arange(p)
     a[:, idx, idx] += diag
-    if p > 1:
+    if off is not None and p > 1:
         j = np.arange(p - 1)
         a[:, j, j + 1] += off
         a[:, j + 1, j] += off
@@ -409,38 +457,20 @@ class ChainOutput:
             raise KeyError(f"no column {label!r}") from exc
         return self.draws[:, j]
 
-    def columns(self, labels) -> np.ndarray:
-        return np.column_stack([self.column(lbl) for lbl in labels])
-
-
-def _blocks(model_id: str, p: int, groups: GroupStructure | None) -> tuple:
-    """(state field, length) of each stored vector block, in column order."""
-    if model_id == "bfl":
-        return (("beta", p), ("tau2", p), ("w2", p - 1))
-    if model_id == "bgl":
-        return (("beta", p), ("tau2", groups.K))
-    return (("beta", p), ("tau2", groups.K), ("gamma2", p))
-
 
 def initial_state(model_id: str, data: Dataset, hyper: Hyperparameters,
                   groups: GroupStructure | None, config: ChainConfig):
     """Resolve the configured starting state (sigma2 left unset)."""
     if config.init_mode == "custom" or (config.init_mode == "default" and config.init_state is not None):
         return config.init_state
+    spec = SPECS[model_id]
     if config.init_mode == "zero":
-        zeros = np.zeros(data.p)
-        if model_id == "bfl":
-            return FusedState(zeros, np.ones(data.p), np.ones(max(data.p - 1, 0)))
-        if model_id == "bgl":
-            return GroupState(zeros, np.ones(groups.K))
-        return SparseGroupState(zeros, np.ones(groups.K), np.ones(data.p))
+        blocks = _blocks(spec, data.p, groups)
+        return spec.state(np.zeros(data.p), *(np.ones(length) for _, length in blocks[1:]))
     from . import solvers
 
-    if model_id == "bfl":
-        return solvers.default_start_bfl(data, hyper)
-    if model_id == "bgl":
-        return solvers.default_start_bgl(data, groups, hyper)
-    return solvers.default_start_bsgl(data, groups, hyper)
+    start = getattr(solvers, f"default_start_{model_id}")
+    return start(data, groups, hyper) if spec.grouped else start(data, hyper)
 
 
 def run_chain(model_id: str, data: Dataset, hyper: Hyperparameters,
@@ -452,37 +482,25 @@ def run_chain(model_id: str, data: Dataset, hyper: Hyperparameters,
     reproducible from ``(config.seed, config.stream_id)``.  Inputs are
     checked here, once; the sweeps run unchecked apart from their guard.
     """
-    if model_id not in MODEL_IDS:
-        raise InvalidParameterError(f"unknown model id {model_id!r}")
-    if model_id in ("bgl", "bsgl"):
-        if groups is None:
-            raise StructureError(f"{model_id} requires a GroupStructure")
-        groups.check_p(data.p)
+    spec = _spec(model_id, data.p, groups, missing=StructureError)
     if config is None:
         raise InvalidParameterError("config is required")
 
     rng = RngStream(config.seed, config.stream_id)
     state = initial_state(model_id, data, hyper, groups, config)
     columns, labels = [], []
-    for name, length in _blocks(model_id, data.p, groups):
-        if np.shape(getattr(state, name, None)) != (length,):
-            raise StructureError(f"the {model_id} start state needs a length-{length} {name!r} vector")
+    for name, length in _blocks(spec, data.p, groups, state):
         columns.append((name, slice(len(labels), len(labels) + length)))
         labels += [f"{name}.{i + 1}" for i in range(length)]
     labels.append("sigma2")
     n_keep = (config.n_iter - config.burn_in) // config.thin
     draws = np.empty((n_keep, len(labels)))
-
-    if model_id == "bfl":
-        step = lambda s: bfl_step(s, data, hyper, rng)
-    elif model_id == "bgl":
-        step = lambda s: bgl_step(s, data, hyper, groups, rng)
-    else:
-        step = lambda s: bsgl_step(s, data, hyper, groups, rng)
+    # The public step, looked up by name so that a rebound module attribute is honoured.
+    step = _bind(globals()[f"{model_id}_step"], spec, groups)
 
     kept = 0
     for j in range(config.n_iter):
-        state = step(state)
+        state = step(state, data, hyper, rng)
         if j >= config.burn_in and (j - config.burn_in) % config.thin == config.thin - 1:
             row = draws[kept]
             for name, cols in columns:

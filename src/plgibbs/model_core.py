@@ -219,12 +219,19 @@ class Hyperparameters:
             raise InvalidParameterError("xi must be nonnegative")
 
 
-def _check_state_sigma2(sigma2) -> float | None:
-    if sigma2 is None:
-        return None
-    if not (np.isfinite(sigma2) and sigma2 > 0):
-        raise InvalidParameterError("sigma2 must be strictly positive when set")
-    return float(sigma2)
+def _check_state(state, **lengths) -> None:
+    """Validate a state's fields in place: each scale block named in ``lengths``
+    strictly positive (and of that length unless None), beta finite, and
+    sigma2 positive and finite when set."""
+    state.beta = np.atleast_1d(np.asarray(state.beta, dtype=float))
+    for name, length in lengths.items():
+        setattr(state, name, _as_positive_vector(name, getattr(state, name), length))
+    if not np.all(np.isfinite(state.beta)):
+        raise InvalidParameterError("beta must be finite")
+    if state.sigma2 is not None:
+        if not (np.isfinite(state.sigma2) and state.sigma2 > 0):
+            raise InvalidParameterError("sigma2 must be strictly positive when set")
+        state.sigma2 = float(state.sigma2)
 
 
 @dataclass
@@ -241,13 +248,8 @@ class FusedState:
     sigma2: float | None = None
 
     def __post_init__(self) -> None:
-        self.beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
-        p = self.beta.shape[0]
-        self.tau2 = _as_positive_vector("tau2", self.tau2, p)
-        self.w2 = _as_positive_vector("w2", self.w2, p - 1)
-        if not np.all(np.isfinite(self.beta)):
-            raise InvalidParameterError("beta must be finite")
-        self.sigma2 = _check_state_sigma2(self.sigma2)
+        p = np.size(self.beta)
+        _check_state(self, tau2=p, w2=p - 1)
 
 
 @dataclass
@@ -259,11 +261,7 @@ class GroupState:
     sigma2: float | None = None
 
     def __post_init__(self) -> None:
-        self.beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
-        self.tau2 = _as_positive_vector("tau2", self.tau2)
-        if not np.all(np.isfinite(self.beta)):
-            raise InvalidParameterError("beta must be finite")
-        self.sigma2 = _check_state_sigma2(self.sigma2)
+        _check_state(self, tau2=None)
 
 
 @dataclass
@@ -276,13 +274,7 @@ class SparseGroupState:
     sigma2: float | None = None
 
     def __post_init__(self) -> None:
-        self.beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
-        p = self.beta.shape[0]
-        self.tau2 = _as_positive_vector("tau2", self.tau2)
-        self.gamma2 = _as_positive_vector("gamma2", self.gamma2, p)
-        if not np.all(np.isfinite(self.beta)):
-            raise InvalidParameterError("beta must be finite")
-        self.sigma2 = _check_state_sigma2(self.sigma2)
+        _check_state(self, tau2=None, gamma2=np.size(self.beta))
 
 
 def _unchecked_constructor(cls):
@@ -330,15 +322,13 @@ def fused_quadratic_form(beta, tau2, w2) -> float:
     p = beta.shape[0]
     tau2 = _as_positive_vector("tau2", tau2, p)
     w2 = _as_positive_vector("w2", w2, p - 1)
-    return _fused_quad(beta, np.diff(beta), tau2, w2)
+    return float(_fused_quad(beta, tau2, w2))
 
 
-def _fused_quad(beta: np.ndarray, diff: np.ndarray, tau2: np.ndarray, w2: np.ndarray) -> float:
-    """:func:`fused_quadratic_form` from unchecked arrays, ``diff`` being ``np.diff(beta)``."""
-    out = float(np.sum(beta * beta / tau2))
-    if beta.shape[0] > 1:
-        out += float(np.sum(diff**2 / w2))
-    return out
+def _fused_quad(beta: np.ndarray, tau2: np.ndarray, w2: np.ndarray):
+    """:func:`fused_quadratic_form` from unchecked arrays, one value per row of 2-d ones."""
+    diff = beta[..., 1:] - beta[..., :-1]
+    return (beta * beta / tau2).sum(axis=-1) + (diff**2 / w2).sum(axis=-1)
 
 
 def build_group_precision(tau2, groups: GroupStructure) -> SymTridiagonal:

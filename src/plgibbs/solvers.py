@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidParameterError
+from .gibbs import SPECS
 from .model_core import Dataset, FusedState, GroupState, GroupStructure, Hyperparameters, SparseGroupState
 
 __all__ = [
@@ -284,28 +285,29 @@ def sparse_group_lasso_solve(
 # Default starting values (drift-function minimizers)
 # ---------------------------------------------------------------------------
 
+def _start(model_id: str, beta: np.ndarray, hyper: Hyperparameters, groups: GroupStructure | None):
+    """The state at ``beta`` whose scales minimize V given beta: each scale is
+    2 |magnitude| / lambda of its block, floored at ``EPS_FLOOR``."""
+    spec = SPECS[model_id]
+    return spec.state(beta, *(np.maximum(2.0 * mags / getattr(hyper, lam), EPS_FLOOR)
+                              for mags, lam in zip(spec.magnitudes(beta, groups), spec.lambdas)))
+
+
 def default_start_bfl(data: Dataset, hyper: Hyperparameters, **solver_kwargs) -> FusedState:
     """Fused start: beta from the fused solver, tau2_i = 2|b_i|/lambda1,
     w2_i = 2|b_{i+1} - b_i|/lambda2, zeros floored at ``EPS_FLOOR``."""
     sol = fused_lasso_solve(data, hyper.lambda1, hyper.lambda2, **solver_kwargs)
-    b = sol.beta_hat
-    tau2 = np.maximum(2.0 * np.abs(b) / hyper.lambda1, EPS_FLOOR)
-    w2 = np.maximum(2.0 * np.abs(np.diff(b)) / hyper.lambda2, EPS_FLOOR)
-    return FusedState(beta=b, tau2=tau2, w2=w2)
+    return _start("bfl", sol.beta_hat, hyper, None)
 
 
 def default_start_bgl(data: Dataset, groups: GroupStructure, hyper: Hyperparameters, **solver_kwargs) -> GroupState:
     """Group start: beta from the group solver, tau2_k = 2||b_{G_k}||/lambda."""
     sol = group_lasso_solve(data, groups, hyper.lambda1, **solver_kwargs)
-    b = sol.beta_hat
-    tau2 = np.maximum(2.0 * np.sqrt(groups.group_sq_norms(b)) / hyper.lambda1, EPS_FLOOR)
-    return GroupState(beta=b, tau2=tau2)
+    return _start("bgl", sol.beta_hat, hyper, groups)
 
 
 def default_start_bsgl(data: Dataset, groups: GroupStructure, hyper: Hyperparameters, **solver_kwargs) -> SparseGroupState:
-    """Sparse-group start: tau2_k = 2||b_{G_k}||/lambda1, gamma2_i = 2|b_i|/lambda2."""
-    sol = sparse_group_lasso_solve(data, groups, hyper.lambda1, hyper.lambda2, **solver_kwargs)
-    b = sol.beta_hat
-    tau2 = np.maximum(2.0 * np.sqrt(groups.group_sq_norms(b)) / hyper.lambda1, EPS_FLOOR)
-    gamma2 = np.maximum(2.0 * np.abs(b) / hyper.lambda2, EPS_FLOOR)
-    return SparseGroupState(beta=b, tau2=tau2, gamma2=gamma2)
+    """Sparse-group start: beta from the sparse-group solver with l1 weight lambda2
+    and group weight lambda1, tau2_k = 2||b_{G_k}||/lambda1, gamma2_i = 2|b_i|/lambda2."""
+    sol = sparse_group_lasso_solve(data, groups, hyper.lambda2, hyper.lambda1, **solver_kwargs)
+    return _start("bsgl", sol.beta_hat, hyper, groups)

@@ -19,21 +19,18 @@ from scipy import stats
 
 from .distributions import RngStream, sample_gaussian_regression_conditional, sample_inverse_gamma
 from .errors import ConfigurationError, GridConvergenceError, InvalidParameterError, PlgError
-from .gibbs import (
-    _batch_beta_draw, bfl_full_conditional_params, bfl_step, bgl_full_conditional_params, bgl_step,
-    bsgl_full_conditional_params, bsgl_step, draw_scales,
+from .gibbs import (  # the *_step names are looked up here by name, as perfbench/tracing.py expects
+    SPECS, _batch_beta_draw, _bind, _full_conditionals, _spec, bfl_step, bgl_step, bsgl_step, draw_scales,
 )
 from .model_core import (
     Dataset,
     FusedState,
-    GroupState,
     GroupStructure,
     Hyperparameters,
-    SparseGroupState,
+    SymTridiagonal,
     _fused_bands,
-    build_fused_precision,
-    build_group_precision,
-    build_sparse_precision,
+    _fused_quad,
+    _sparse_diag,
 )
 from .output_analysis import batch_means_cov
 
@@ -143,6 +140,7 @@ def sample_joint_prior(model_id: str, p: int, hyper: Hyperparameters, rng: RngSt
     """
     if hyper.alpha <= 0 or hyper.xi <= 0:
         raise ConfigurationError("joint prior draws need alpha > 0 and xi > 0")
+    _spec(model_id, p, groups)
     r = int(size)
     sigma2 = sample_inverse_gamma(hyper.alpha, hyper.xi, rng, size=r)
     if model_id == "bfl":
@@ -150,22 +148,16 @@ def sample_joint_prior(model_id: str, p: int, hyper: Hyperparameters, rng: RngSt
         # beta ~ N(0, sigma2 P^{-1}): the regression draw with X'X = 0 and X'y = 0
         beta = _batch_beta_draw(np.zeros((p, p)), np.zeros(p), *_fused_bands(tau2, w2), sigma2, rng)
         return {"beta": beta, "tau2": tau2, "w2": w2, "sigma2": sigma2}
-    if groups is None:
-        raise InvalidParameterError(f"{model_id} needs a GroupStructure")
-    groups.check_p(p)
     if model_id == "bgl":
         shapes = (np.asarray(groups.sizes, dtype=float) + 1.0) / 2.0
         tau2 = rng.gen.gamma(shapes[None, :], 2.0 / hyper.lambda1**2, size=(r, groups.K))
         variances = np.repeat(tau2, groups.sizes, axis=1) * sigma2[:, None]
         beta = np.sqrt(variances) * rng.gen.standard_normal((r, p))
         return {"beta": beta, "tau2": tau2, "sigma2": sigma2}
-    if model_id == "bsgl":
-        tau2, gamma2 = _sample_bsgl_prior_scales(groups, hyper.lambda1, hyper.lambda2, rng, size=r)
-        inv_v = np.repeat(1.0 / tau2, groups.sizes, axis=1) + 1.0 / gamma2
-        variances = sigma2[:, None] / inv_v
-        beta = np.sqrt(variances) * rng.gen.standard_normal((r, p))
-        return {"beta": beta, "tau2": tau2, "gamma2": gamma2, "sigma2": sigma2}
-    raise InvalidParameterError(f"unknown model id {model_id!r}")
+    tau2, gamma2 = _sample_bsgl_prior_scales(groups, hyper.lambda1, hyper.lambda2, rng, size=r)
+    variances = sigma2[:, None] / _sparse_diag(tau2, gamma2, groups)
+    beta = np.sqrt(variances) * rng.gen.standard_normal((r, p))
+    return {"beta": beta, "tau2": tau2, "gamma2": gamma2, "sigma2": sigma2}
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +165,8 @@ def sample_joint_prior(model_id: str, p: int, hyper: Hyperparameters, rng: RngSt
 # ---------------------------------------------------------------------------
 
 def _state_from_arrays(model_id: str, arrs: dict, i: int):
-    if model_id == "bfl":
-        return FusedState(arrs["beta"][i], arrs["tau2"][i], arrs["w2"][i], float(arrs["sigma2"][i]))
-    if model_id == "bgl":
-        return GroupState(arrs["beta"][i], arrs["tau2"][i], float(arrs["sigma2"][i]))
-    return SparseGroupState(arrs["beta"][i], arrs["tau2"][i], arrs["gamma2"][i], float(arrs["sigma2"][i]))
+    spec = SPECS[model_id]
+    return spec.state(arrs["beta"][i], *(arrs[name][i] for name in spec.blocks), float(arrs["sigma2"][i]))
 
 
 def _test_functions(beta1, sigma2, tau2_1) -> np.ndarray:
@@ -224,8 +213,7 @@ def geweke_joint_test(
         )
     if replicates < 1000:
         raise InvalidParameterError("replicates must be at least 1000")
-    if model_id in ("bgl", "bsgl") and groups is None:
-        raise InvalidParameterError(f"{model_id} needs a GroupStructure")
+    spec = _spec(model_id, p, groups)
     rng = RngStream(0, 0) if rng is None else rng
 
     x_mat = rng.gen.standard_normal((n, p))
@@ -238,12 +226,7 @@ def geweke_joint_test(
     start = sample_joint_prior(model_id, p, hyper, rng, groups=groups, size=1)
     state = _state_from_arrays(model_id, start, 0)
     if step_fn is None:
-        if model_id == "bfl":
-            step_fn = lambda s, d, h, r: bfl_step(s, d, h, r)
-        elif model_id == "bgl":
-            step_fn = lambda s, d, h, r: bgl_step(s, d, h, groups, r)
-        else:
-            step_fn = lambda s, d, h, r: bsgl_step(s, d, h, groups, r)
+        step_fn = _bind(globals()[f"{model_id}_step"], spec, groups)
     y = x_mat @ np.asarray(state.beta) + np.sqrt(state.sigma2) * rng.gen.standard_normal(n)
     g_sc = np.empty((replicates, len(TEST_FUNCTION_NAMES)))
     try:
@@ -299,41 +282,23 @@ def update_order_check(model_id: str, state, data: Dataset, hyper: Hyperparamete
     fresh sigma2, beta from the fresh scales.  Any reordering (or extra
     consumption) breaks the bit-level match.
     """
+    spec = _spec(model_id)
     rng_step = RngStream(seed, 17)
     rng_replay = RngStream(seed, 17)
+    out = (step_fn or _bind(globals()[f"{model_id}_step"], spec, groups))(state, data, hyper, rng_step)
 
-    if model_id == "bfl":
-        out = (step_fn or bfl_step)(state, data, hyper, rng_step)
-        params = bfl_full_conditional_params(state, data, hyper)
-        sigma2 = sample_inverse_gamma(params.sigma2_shape, params.sigma2_rate, rng_replay)
-        tau2 = draw_scales(np.abs(state.beta), hyper.lambda1**2, sigma2, rng_replay)
-        w2 = draw_scales(np.abs(np.diff(state.beta)), hyper.lambda2**2, sigma2, rng_replay)
-        prec = build_fused_precision(tau2, w2)
-        beta = sample_gaussian_regression_conditional(data.xtx, data.xty, prec, sigma2, rng_replay)
-        expected = {"sigma2": sigma2, "tau2": tau2, "w2": w2, "beta": beta}
-    elif model_id == "bgl":
-        out = (step_fn or (lambda s, d, h, r: bgl_step(s, d, h, groups, r)))(state, data, hyper, rng_step)
-        params = bgl_full_conditional_params(state, data, hyper, groups)
-        sigma2 = sample_inverse_gamma(params.sigma2_shape, params.sigma2_rate, rng_replay)
-        tau2 = draw_scales(np.sqrt(groups.group_sq_norms(state.beta)), hyper.lambda1**2, sigma2, rng_replay)
-        prec = build_group_precision(tau2, groups)
-        beta = sample_gaussian_regression_conditional(data.xtx, data.xty, prec, sigma2, rng_replay)
-        expected = {"sigma2": sigma2, "tau2": tau2, "beta": beta}
-    elif model_id == "bsgl":
-        out = (step_fn or (lambda s, d, h, r: bsgl_step(s, d, h, groups, r)))(state, data, hyper, rng_step)
-        params = bsgl_full_conditional_params(state, data, hyper, groups)
-        sigma2 = sample_inverse_gamma(params.sigma2_shape, params.sigma2_rate, rng_replay)
-        tau2 = draw_scales(np.sqrt(groups.group_sq_norms(state.beta)), hyper.lambda1**2, sigma2, rng_replay)
-        gamma2 = draw_scales(np.abs(state.beta), hyper.lambda2**2, sigma2, rng_replay)
-        prec = build_sparse_precision(tau2, gamma2, groups)
-        beta = sample_gaussian_regression_conditional(data.xtx, data.xty, prec, sigma2, rng_replay)
-        expected = {"sigma2": sigma2, "tau2": tau2, "gamma2": gamma2, "beta": beta}
-    else:
-        raise InvalidParameterError(f"unknown model id {model_id!r}")
+    params = _full_conditionals(model_id, state, data, hyper, groups)
+    sigma2 = sample_inverse_gamma(params.sigma2_shape, params.sigma2_rate, rng_replay)
+    scales = [draw_scales(mags, getattr(hyper, lam)**2, sigma2, rng_replay)
+              for mags, lam in zip(spec.magnitudes(state.beta, groups), spec.lambdas)]
+    diag, off = spec.bands(groups, *scales)
+    prec = SymTridiagonal(diag, np.zeros(data.p - 1) if off is None else off)
+    beta = sample_gaussian_regression_conditional(data.xtx, data.xty, prec, sigma2, rng_replay)
+    expected = {"sigma2": sigma2, **dict(zip(spec.blocks, scales)), "beta": beta}
 
     got = {key: getattr(out, key) for key in expected}
     mismatches = {
-        key: float(np.max(np.abs(np.asarray(got[key]) - np.asarray(expected[key]))))
+        key: float(np.max(np.abs(np.asarray(got[key]) - np.asarray(expected[key])), initial=0.0))
         for key in expected
     }
     passed = all(v == 0.0 for v in mismatches.values())
@@ -450,10 +415,7 @@ def _fused_marginal_weights(beta: np.ndarray, tau2: np.ndarray, w2: np.ndarray,
     prior's covariance determinant, leaving prod(tau2)^{-1/2} times the
     quadratic-form exponential.
     """
-    p = beta.shape[0]
-    quad = np.sum(beta[None, :] ** 2 / tau2, axis=1)
-    if p > 1:
-        quad = quad + np.sum(np.diff(beta)[None, :] ** 2 / w2, axis=1)
+    quad = _fused_quad(beta, tau2, w2)
     return np.exp(-0.5 * quad / sigma2) / np.sqrt(np.prod(tau2, axis=1))
 
 

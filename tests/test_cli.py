@@ -210,6 +210,28 @@ class TestFit:
         assert rc == 0
 
 
+class TestHostileFit:
+    @pytest.mark.parametrize("lam", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("model", ["bfl", "bgl", "bsgl"])
+    def test_duplicated_columns_with_n_below_p(self, tmp_path, model, lam):
+        # n = 3 < p = 5 and the last column repeats the first: either exit 0
+        # with schema-valid outputs or exit 1
+        rng = np.random.default_rng(17)
+        x_mat = rng.standard_normal((3, 5))
+        x_mat[:, 4] = x_mat[:, 0]
+        y = x_mat[:, 0] - x_mat[:, 2] + 0.1 * rng.standard_normal(3)
+        data_path = tmp_path / "d.csv"
+        emit_csv(data_path, ["y"] + [f"x{j + 1}" for j in range(5)], np.column_stack([y, x_mat]))
+        out = tmp_path / "out"
+        args = ["fit", "--model", model, "--data", str(data_path), "--lambda1", str(lam), "--lambda2", str(lam),
+                "--iters", "60", "--chains", "2", "--out-dir", str(out)]
+        rc = main(args + ([] if model == "bfl" else ["--groups", "2,3"]))
+        assert rc in (0, 1)
+        if rc == 0:
+            jsonschema.validate(json.loads((out / "summary.json").read_text()), load_schema("summary.schema.json"))
+            jsonschema.validate(json.loads((out / "drift.json").read_text()), load_schema("drift.schema.json"))
+
+
 class TestDiagnose:
     def test_duplicated_chain_matches_itself_and_in_process(self, tmp_path):
         data_path = tmp_path / "d.csv"

@@ -11,6 +11,7 @@ from plgibbs.ergodicity import (
     drift_rate,
     drift_value,
     empirical_drift_check,
+    log_minorization_epsilon,
     minorization_epsilon,
     small_set_radius,
 )
@@ -125,6 +126,20 @@ class TestMinorizationEpsilon:
         expected = np.exp(-1.0) * (2.0 / denom) ** ((4 + 4) / 2 + 0.5)
         assert eps == pytest.approx(expected, rel=1e-12)
         assert eps > 0
+        assert log_minorization_epsilon("bfl", d, data, hyper) == pytest.approx(np.log(expected), rel=1e-12)
+
+    def test_log_space_where_epsilon_underflows(self):
+        # at n = p = 200 epsilon underflows to 0.0 for every model; its log stays finite
+        rng = np.random.default_rng(5)
+        x_mat = rng.standard_normal((200, 200))
+        data = Dataset(y=x_mat[:, 0] + rng.standard_normal(200), X=x_mat)
+        hyper = Hyperparameters(lambda1=1.0, lambda2=1.0, alpha=1.0, xi=1.0)
+        groups = GroupStructure((10,) * 20)
+        for model in ("bfl", "bgl", "bsgl"):
+            rep = build_drift_report(model, data, hyper, None if model == "bfl" else groups)
+            assert rep.epsilon == 0.0
+            assert np.isfinite(rep.log_epsilon) and rep.log_epsilon < np.log(np.finfo(float).tiny)
+            assert rep.to_dict()["log_epsilon"] == rep.log_epsilon
 
     def test_group_denominator_hand_value(self):
         # K=1, d=1, lambda=2, xi=0.5: denominator = 1 + 1 + 4 = 6

@@ -140,6 +140,12 @@ class TestUpdateOrder:
                                  groups=None if model == "bfl" else groups22)
         assert res.passed, res.details
 
+    def test_single_coefficient_fused_replay(self, hyper):
+        # p = 1 leaves the fusion block empty
+        data = Dataset(y=np.array([1.0, 2.0, 0.5]), X=np.array([[1.0], [0.5], [2.0]]))
+        res = update_order_check("bfl", FusedState(np.ones(1), np.ones(1), np.ones(0), 1.0), data, hyper)
+        assert res.passed and res.details["w2"] == 0.0
+
 
 class TestOneStepStationarity:
     def test_bfl_preserves_joint_law(self):

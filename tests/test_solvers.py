@@ -237,6 +237,27 @@ class TestDefaultStarts:
         assert np.all(start.tau2 == EPS_FLOOR)
         assert np.all(start.w2 == EPS_FLOOR)
 
+    def test_bsgl_start_weights_groups_by_lambda1_and_coefficients_by_lambda2(self):
+        # lambda1 penalizes the group norms and lambda2 the coefficients, so the
+        # V-minimizing start solves with l1 weight lambda2 and group weight lambda1
+        rng = np.random.default_rng(31)
+        x_mat = rng.standard_normal((30, 6))
+        y = x_mat @ np.array([2.0, -1.0, 0.5, 0.0, 1.5, 0.3]) + rng.standard_normal(30)
+        data = Dataset(y=y, X=x_mat)
+        groups = GroupStructure((2, 2, 2))
+        hyper = Hyperparameters(lambda1=8.0, lambda2=1.0, alpha=1.0, xi=1.0)
+        start = default_start_bsgl(data, groups, hyper)
+        assert np.array_equal(start.beta, sparse_group_lasso_solve(data, groups, 1.0, 8.0).beta_hat)
+        swapped = sparse_group_lasso_solve(data, groups, 8.0, 1.0).beta_hat
+        assert not np.allclose(swapped, start.beta)
+        swapped_start = SparseGroupState(
+            swapped,
+            np.maximum(2 * np.sqrt(groups.group_sq_norms(swapped)) / 8.0, EPS_FLOOR),
+            np.maximum(2 * np.abs(swapped) / 1.0, EPS_FLOOR),
+        )
+        v_start = drift_value("bsgl", start, data, hyper, groups)
+        assert v_start < drift_value("bsgl", swapped_start, data, hyper, groups)
+
     @pytest.mark.parametrize("model", ["bfl", "bgl", "bsgl"])
     def test_drift_local_minimality_under_perturbations(self, model):
         data = perturbation_instance()
