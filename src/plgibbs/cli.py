@@ -13,6 +13,7 @@ import csv
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from .model_core import Dataset, GroupStructure, Hyperparameters
 from .output_analysis import monte_carlo_mean, summarize
 from . import verification
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 
 # ---------------------------------------------------------------------------
@@ -132,20 +133,19 @@ def cmd_fit(args) -> int:
     elif args.init not in ("default", "zero"):
         raise PlgError(f"--init must be default, zero or file:PATH, got {args.init!r}")
 
+    # Built here so bad chain settings fail before the penalized solve.
+    config = ChainConfig(n_iter=args.iters, burn_in=args.burnin, thin=args.thin,
+                         seed=args.seed, init_mode=init_mode, init_state=init_state)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # One penalized solve per fit, shared by default-start chains and v_default_start.
     default_start = initial_state(args.model, data, hyper, groups, ChainConfig(n_iter=2, burn_in=0))
     if init_mode == "default":
-        init_state = default_start
+        config = replace(config, init_state=default_start)
 
     def one_chain(chain_idx: int) -> ChainOutput:
-        config = ChainConfig(
-            n_iter=args.iters, burn_in=args.burnin, thin=args.thin,
-            seed=args.seed, stream_id=chain_idx, init_mode=init_mode, init_state=init_state,
-        )
-        return run_chain(args.model, data, hyper, groups=groups, config=config)
+        return run_chain(args.model, data, hyper, groups=groups, config=replace(config, stream_id=chain_idx))
 
     n_chains = max(1, args.chains)
     workers = min(default_workers(), n_chains)

@@ -37,6 +37,9 @@ __all__ = [
     "empirical_drift_check",
 ]
 
+# The empirical drift check allows this many Monte Carlo standard errors of slack.
+DRIFT_SLACK_SE = 3.0
+
 
 def _npa(n: int, p: int, alpha: float) -> float:
     return n + p + 2.0 * alpha
@@ -295,7 +298,6 @@ class EmpiricalDriftResult:
     replicates: int
     phi: float
     L: float
-    slack_se: float = 3.0
 
     @property
     def all_satisfied(self) -> bool:
@@ -318,12 +320,11 @@ def default_workers() -> int:
 def empirical_drift_check(model_id: str, states, data: Dataset, hyper: Hyperparameters,
                           groups: GroupStructure | None = None,
                           replicates: int = 5000, rng: RngStream | None = None,
-                          n_workers: int | None = None,
-                          slack_se: float = 3.0) -> EmpiricalDriftResult:
+                          n_workers: int | None = None) -> EmpiricalDriftResult:
     """Monte Carlo check of the drift inequality at each supplied state.
 
     For each state, averages V over ``replicates`` independent one-step
-    transitions and tests Ehat[V] <= phi V(state) + L + slack_se * mc_se.
+    transitions and tests Ehat[V] <= phi V(state) + L + DRIFT_SLACK_SE * mc_se.
     States are distributed across threads, each with its own substream.
     """
     spec = _spec(model_id)
@@ -352,7 +353,7 @@ def empirical_drift_check(model_id: str, states, data: Dataset, hyper: Hyperpara
             "estimate": est,
             "mc_se": mc_se,
             "bound": bound,
-            "satisfied": est <= bound + slack_se * mc_se,
+            "satisfied": est <= bound + DRIFT_SLACK_SE * mc_se,
         }
 
     items = list(enumerate(states))
@@ -361,4 +362,4 @@ def empirical_drift_check(model_id: str, states, data: Dataset, hyper: Hyperpara
             rows = list(pool.map(one_state, items))
     else:
         rows = [one_state(item) for item in items]
-    return EmpiricalDriftResult(rows=rows, replicates=replicates, phi=phi, L=L, slack_se=slack_se)
+    return EmpiricalDriftResult(rows=rows, replicates=replicates, phi=phi, L=L)

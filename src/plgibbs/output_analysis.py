@@ -1,10 +1,16 @@
-"""Output analysis for Gibbs chains: means, batch-means covariance, ESS.
+"""Output analysis for Gibbs chains: means, batch-means variances, ESS.
 
 Geometric ergodicity plus a moment condition gives a Markov-chain CLT for
 chain averages; non-overlapping batch means with batch size floor(sqrt(N))
-then estimates the asymptotic covariance strongly consistently, which is
+then estimates the asymptotic variance strongly consistently, which is
 what the Monte Carlo standard errors and effective sample sizes here rest
 on.  The 2+delta moment condition itself is assumed, not checked.
+
+``summarize`` works column by column: every MCSE and ESS comes from that
+column's own batch-means variance, so its cost grows with the number of
+columns d, not d^2.  The multivariate ESS of Vats, Flegal & Jones (2019)
+needs more batches than non-constant columns; where the chain has fewer,
+``summarize`` reports it as None rather than a stand-in number.
 """
 
 from __future__ import annotations
@@ -34,13 +40,8 @@ MOMENT_ASSUMPTION_NOTE = (
 _DEGENERATE_REL_VAR = 1e-24
 
 
-def _extract(chain, g=None) -> tuple:
-    """Resolve a chain-plus-selector pair to a (N, d) matrix and names.
-
-    ``chain`` is a ChainOutput or a plain array; ``g`` may be None (all
-    columns), a list of column labels, an index array, or a callable mapping
-    the draw matrix to a transformed matrix.
-    """
+def _extract(chain) -> tuple:
+    """A ChainOutput or plain array as a (N, d) float matrix plus column names."""
     if hasattr(chain, "draws"):
         mat = np.asarray(chain.draws, dtype=float)
         names = list(chain.column_labels)
@@ -51,47 +52,44 @@ def _extract(chain, g=None) -> tuple:
         names = [f"g{j + 1}" for j in range(mat.shape[1])]
     if mat.shape[0] < 1:
         raise InvalidParameterError("chain is empty")
-    if g is None:
-        return mat, names
-    if callable(g):
-        out = np.asarray(g(mat), dtype=float)
-        if out.ndim == 1:
-            out = out[:, None]
-        return out, [f"g{j + 1}" for j in range(out.shape[1])]
-    sel = list(g)
-    if all(isinstance(s, str) for s in sel):
-        idx = [names.index(s) for s in sel]
-        return mat[:, idx], sel
-    idx = [int(s) for s in sel]
-    return mat[:, idx], [names[j] for j in idx]
+    return mat, names
 
 
-def monte_carlo_mean(chain, g=None) -> np.ndarray:
-    """Arithmetic mean of the selected functionals over stored iterates."""
-    mat, _ = _extract(chain, g)
+def monte_carlo_mean(chain) -> np.ndarray:
+    """Arithmetic mean of each column over stored iterates."""
+    mat, _ = _extract(chain)
     return mat.mean(axis=0)
 
 
-def batch_means_cov(chain, g=None, batch_size: int | None = None) -> np.ndarray:
-    """Non-overlapping batch-means estimate of the CLT asymptotic covariance.
+def _batch_deviations(mat: np.ndarray) -> tuple:
+    """Deviations of the batch means from the overall mean, and the batch size.
 
-    Batch size defaults to floor(sqrt(N)); the leading remainder rows are
-    dropped so batches are complete.  The estimate is
-    (b / (a - 1)) sum_k (xbar_k - xbar)(xbar_k - xbar)', positive
-    semidefinite by construction.
+    Batch size is floor(sqrt(N)); the leading remainder rows are dropped so
+    the a = N // b batches are complete.  Returns the (a, d) deviations.
     """
-    mat, _ = _extract(chain, g)
     n, d = mat.shape
-    b = int(np.floor(np.sqrt(n))) if batch_size is None else int(batch_size)
-    if b < 1:
-        raise InvalidParameterError("batch size must be >= 1")
+    b = int(np.floor(np.sqrt(n)))
     a = n // b
     if a < 4:
         raise InvalidParameterError(f"need at least 4 complete batches, got {a}")
     trimmed = mat[n - a * b:]
     means = trimmed.reshape(a, b, d).mean(axis=1)
-    dev = means - trimmed.mean(axis=0)
-    return b * (dev.T @ dev) / (a - 1)
+    return means - trimmed.mean(axis=0), b
+
+
+def batch_means_cov(chain) -> np.ndarray:
+    """Non-overlapping batch-means estimate of the CLT asymptotic covariance,
+    (b / (a - 1)) sum_k (xbar_k - xbar)(xbar_k - xbar)', positive
+    semidefinite by construction."""
+    dev, b = _batch_deviations(_extract(chain)[0])
+    return b * (dev.T @ dev) / (dev.shape[0] - 1)
+
+
+def _batch_means_var(mat: np.ndarray) -> tuple:
+    """The diagonal of ``batch_means_cov``, one column at a time, and the
+    batch size."""
+    dev, b = _batch_deviations(mat)
+    return b * (dev * dev).sum(axis=0) / (dev.shape[0] - 1), b
 
 
 def _degenerate_mask(mat: np.ndarray) -> np.ndarray:
@@ -100,20 +98,21 @@ def _degenerate_mask(mat: np.ndarray) -> np.ndarray:
     return var <= _DEGENERATE_REL_VAR * scale
 
 
-def effective_sample_size(chain, g=None) -> float:
+def effective_sample_size(chain) -> float:
     """Multivariate effective sample size N (det Lambda / det Sigma)^{1/d}.
 
-    Lambda is the sample covariance of the selected functionals and Sigma the
-    batch-means asymptotic covariance.  Constant columns trigger the
-    degenerate-variance fallback value N (with a warning); a singular Sigma
-    falls back to the most conservative univariate coordinate.
+    Lambda is the sample covariance of the columns and Sigma their
+    batch-means asymptotic covariance.  Constant columns are dropped (with a
+    warning); if all are constant the policy value N is returned.  Raises
+    InvalidParameterError when the a batches do not exceed the d remaining
+    columns or either covariance is singular: the estimate is then undefined.
     """
-    mat, _ = _extract(chain, g)
+    mat, _ = _extract(chain)
     n, _ = mat.shape
     degenerate = _degenerate_mask(mat)
     if np.all(degenerate):
         warnings.warn(
-            "all selected columns are constant; returning ESS = N",
+            "all columns are constant; returning ESS = N",
             DegenerateVarianceWarning,
             stacklevel=2,
         )
@@ -126,20 +125,24 @@ def effective_sample_size(chain, g=None) -> float:
         )
         mat = mat[:, ~degenerate]
     d = mat.shape[1]
+    dev, b = _batch_deviations(mat)
+    a = dev.shape[0]
+    if a <= d:
+        raise InvalidParameterError(
+            f"multivariate ESS needs more batches than non-constant columns, got {a} <= {d}"
+        )
     lam = np.cov(mat, rowvar=False).reshape(d, d)
-    sig = batch_means_cov(mat)
+    sig = b * (dev.T @ dev) / (a - 1)
     sign_l, logdet_l = np.linalg.slogdet(lam)
     sign_s, logdet_s = np.linalg.slogdet(sig)
-    if sign_l > 0 and sign_s > 0:
-        return float(n * np.exp((logdet_l - logdet_s) / d))
-    # Univariate fallback per coordinate; report the most conservative one.
-    per_coord = n * np.diag(lam) / np.maximum(np.diag(sig), 1e-300)
-    return float(np.min(per_coord))
+    if sign_l <= 0 or sign_s <= 0:
+        raise InvalidParameterError("singular sample or batch-means covariance; multivariate ESS undefined")
+    return float(n * np.exp((logdet_l - logdet_s) / d))
 
 
 @dataclass
 class SummaryReport:
-    """Per-parameter posterior summaries plus multivariate Monte Carlo error."""
+    """Per-parameter posterior summaries plus the multivariate ESS."""
 
     parameters: list
     multivariate: dict
@@ -147,70 +150,61 @@ class SummaryReport:
     assumptions: str = MOMENT_ASSUMPTION_NOTE
 
     def to_dict(self) -> dict:
-        mv = dict(self.multivariate)
-        cov = mv.get("covariance")
-        if isinstance(cov, np.ndarray):
-            mv["covariance"] = cov.tolist()
         return {
             "parameters": [dict(row) for row in self.parameters],
-            "multivariate": mv,
+            "multivariate": dict(self.multivariate),
             "config": dict(self.config),
             "assumptions": self.assumptions,
         }
 
 
-def summarize(chain, g=None) -> SummaryReport:
+def summarize(chain) -> SummaryReport:
     """Assemble means, sds, type-7 quantiles, MCSE and ESS for a chain.
 
     Per-parameter ESS values are clamped to (0, N]; constant columns are
-    flagged as degenerate with MCSE 0 and ESS N.
+    flagged as degenerate with MCSE 0 and ESS N, as is every column of a
+    chain shorter than 16 rows.  From 16 rows on, ``multivariate["ess"]``
+    is None unless the batches outnumber the non-constant columns and both
+    covariances are nonsingular.
     """
-    mat, names = _extract(chain, g)
+    mat, names = _extract(chain)
     n, d = mat.shape
     degenerate = _degenerate_mask(mat)
-    if n >= 16 and not np.all(degenerate):
-        live = mat[:, ~degenerate]
-        sig_live = batch_means_cov(live)
-        batch = int(np.floor(np.sqrt(n)))
-    else:
-        live = None
-        sig_live = None
-        batch = None
-
-    sig_diag = np.zeros(d)
-    if sig_live is not None:
-        sig_diag[~degenerate] = np.diag(sig_live)
-
     q = np.quantile(mat, [0.025, 0.5, 0.975], axis=0)  # linear interpolation (type 7)
     means = mat.mean(axis=0)
-    sds = mat.std(axis=0, ddof=1) if n > 1 else np.zeros(d)
-    rows = []
-    for j, name in enumerate(names):
-        if degenerate[j] or sig_live is None:
-            mcse, ess = 0.0, float(n)
-        else:
-            mcse = float(np.sqrt(sig_diag[j] / n))
-            ess = float(min(n, n * mat[:, j].var(ddof=1) / max(sig_diag[j], 1e-300)))
-            ess = max(ess, 1e-12)
-        rows.append({
+    var = mat.var(axis=0, ddof=1) if n > 1 else np.zeros(d)
+    sds = np.sqrt(var)
+    mcse = np.zeros(d)
+    ess = np.full(d, float(n))
+    multivariate = {"ess": float(n), "batch_size": None}
+
+    live = ~degenerate
+    if n >= 16 and np.any(live):
+        sig, batch = _batch_means_var(mat)
+        sig = sig[live]
+        mcse[live] = np.sqrt(sig / n)
+        ess[live] = np.maximum(np.minimum(n, n * var[live] / np.maximum(sig, 1e-300)), 1e-12)
+        mv_ess = None
+        if n // batch > np.count_nonzero(live):
+            try:
+                mv_ess = float(min(n, effective_sample_size(mat[:, live])))
+            except InvalidParameterError:  # singular covariance
+                pass
+        multivariate = {"ess": mv_ess, "batch_size": batch}
+
+    rows = [
+        {
             "name": name,
             "mean": float(means[j]),
             "sd": float(sds[j]),
             "q2.5": float(q[0, j]),
             "median": float(q[1, j]),
             "q97.5": float(q[2, j]),
-            "mcse": mcse,
-            "ess": ess,
+            "mcse": float(mcse[j]),
+            "ess": float(ess[j]),
             "degenerate": bool(degenerate[j]),
-        })
-
-    if sig_live is not None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateVarianceWarning)
-            mv_ess = float(min(n, effective_sample_size(mat)))
-        multivariate = {"ess": mv_ess, "batch_size": batch, "covariance": sig_live}
-    else:
-        multivariate = {"ess": float(n), "batch_size": batch, "covariance": None}
-
+        }
+        for j, name in enumerate(names)
+    ]
     config = dict(getattr(chain, "meta", {}) or {})
     return SummaryReport(parameters=rows, multivariate=multivariate, config=config)

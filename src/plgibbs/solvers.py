@@ -45,7 +45,7 @@ class PenalizedSolution:
     iterations: int
     converged: bool
     kkt_residual: float
-    objective_trace: np.ndarray | None = None
+    objective_trace: np.ndarray
 
 
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
@@ -142,7 +142,6 @@ def _mfista(
     tol: float,
     tol_obj: float,
     max_iter: int,
-    keep_trace: bool = False,
 ) -> PenalizedSolution:
     """Monotone FISTA on f(b) = ||y - X b||^2 plus the given penalty."""
     xtx, xty = data.xtx, data.xty
@@ -167,7 +166,7 @@ def _mfista(
     x = np.zeros(data.p)
     z_momentum = x.copy()
     obj = objective(x)
-    trace = [obj] if keep_trace else None
+    trace = [obj]
     t_k = 1.0
     step_size = t_ref
     converged = False
@@ -194,8 +193,7 @@ def _mfista(
         rel_change = abs(obj - obj_new) / max(abs(obj), 1.0)
         x = x_new
         obj = obj_new
-        if trace is not None:
-            trace.append(obj)
+        trace.append(obj)
         t_k = t_next
         if rel_change <= tol_obj:
             res = kkt_residual(x)
@@ -206,14 +204,13 @@ def _mfista(
     return PenalizedSolution(
         beta_hat=x, objective=objective(x), iterations=it,
         converged=converged and res <= tol, kkt_residual=res,
-        objective_trace=None if trace is None else np.asarray(trace),
+        objective_trace=np.asarray(trace),
     )
 
 
 def fused_lasso_solve(
     data: Dataset, lambda1: float, lambda2: float,
     tol: float = 1e-6, max_iter: int = 50_000, tol_obj: float = 1e-8,
-    keep_trace: bool = False,
 ) -> PenalizedSolution:
     """Minimize ||y - X b||^2 + lambda1 sum|b_j| + lambda2 sum|b_{j+1} - b_j|.
 
@@ -234,13 +231,12 @@ def fused_lasso_solve(
     def prox(v, t):
         return soft_threshold(tv1d_prox(v, t * lambda2), t * lambda1)
 
-    return _mfista(data, penalty, prox, tol, tol_obj, max_iter, keep_trace=keep_trace)
+    return _mfista(data, penalty, prox, tol, tol_obj, max_iter)
 
 
 def group_lasso_solve(
     data: Dataset, groups: GroupStructure, lam: float,
     tol: float = 1e-6, max_iter: int = 50_000, tol_obj: float = 1e-8,
-    keep_trace: bool = False,
 ) -> PenalizedSolution:
     """Minimize ||y - X b||^2 + lam * sum_k ||b_{G_k}||_2."""
     if lam <= 0:
@@ -253,13 +249,12 @@ def group_lasso_solve(
     def prox(v, t):
         return block_soft_threshold(v, t * lam, groups)
 
-    return _mfista(data, penalty, prox, tol, tol_obj, max_iter, keep_trace=keep_trace)
+    return _mfista(data, penalty, prox, tol, tol_obj, max_iter)
 
 
 def sparse_group_lasso_solve(
     data: Dataset, groups: GroupStructure, lambda1: float, lambda2: float,
     tol: float = 1e-6, max_iter: int = 50_000, tol_obj: float = 1e-8,
-    keep_trace: bool = False,
 ) -> PenalizedSolution:
     """Minimize ||y - X b||^2 + lambda1 ||b||_1 + lambda2 sum_k ||b_{G_k}||_2.
 
@@ -278,7 +273,7 @@ def sparse_group_lasso_solve(
     def prox(v, t):
         return block_soft_threshold(soft_threshold(v, t * lambda1), t * lambda2, groups)
 
-    return _mfista(data, penalty, prox, tol, tol_obj, max_iter, keep_trace=keep_trace)
+    return _mfista(data, penalty, prox, tol, tol_obj, max_iter)
 
 
 # ---------------------------------------------------------------------------

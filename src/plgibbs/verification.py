@@ -51,6 +51,13 @@ __all__ = [
 
 TEST_FUNCTION_NAMES = ("beta1", "beta1_sq", "sigma2", "log_sigma2", "tau2_1", "beta1_sigma2")
 
+# Gibbs sweeps between response redraws on the successive-conditional side.
+GEWEKE_SUBSTEPS = 3
+# The joint-distribution test passes when every |z| is below this.
+GEWEKE_Z_THRESHOLD = 4.0
+# A marginal-prior pair passes within this many combined standard errors.
+MARGINAL_SE_THRESHOLD = 3.0
+
 
 @dataclass
 class CheckResult:
@@ -187,19 +194,17 @@ def geweke_joint_test(
     groups: GroupStructure | None = None,
     hyper: Hyperparameters | None = None,
     replicates: int = 10_000,
-    gibbs_substeps: int = 3,
     rng: RngStream | None = None,
     step_fn=None,
-    z_threshold: float = 4.0,
 ) -> CheckResult:
     """Two-simulator joint-distribution test for one sampler.
 
     The marginal-conditional side draws (parameters, y) iid from the joint
-    model; the successive-conditional side alternates ``gibbs_substeps``
+    model; the successive-conditional side alternates ``GEWEKE_SUBSTEPS``
     Gibbs sweeps with a y-redraw from the likelihood, starting from an exact
     joint draw (so it runs in stationarity under a correct kernel).  The two
     sides are compared through two-sample z statistics on six test
-    functions; all |z| below ``z_threshold`` passes.
+    functions; all |z| below ``GEWEKE_Z_THRESHOLD`` passes.
 
     ``step_fn`` overrides the kernel (used for mutation sensitivity); it must
     have the matching step signature.
@@ -232,7 +237,7 @@ def geweke_joint_test(
     try:
         for t in range(replicates):
             data = Dataset(y=y, X=x_mat)
-            for _ in range(gibbs_substeps):
+            for _ in range(GEWEKE_SUBSTEPS):
                 state = step_fn(state, data, hyper, rng)
             y = x_mat @ np.asarray(state.beta) + np.sqrt(state.sigma2) * rng.gen.standard_normal(n)
             g_sc[t] = _test_functions(
@@ -243,7 +248,7 @@ def geweke_joint_test(
         return CheckResult(
             name=f"geweke_{model_id}",
             statistics={"max_abs_z": np.inf},
-            threshold=z_threshold,
+            threshold=GEWEKE_Z_THRESHOLD,
             passed=False,
             details={"kernel_failure": f"{type(exc).__name__}: {exc}", "at_replicate": t},
         )
@@ -261,8 +266,8 @@ def geweke_joint_test(
     return CheckResult(
         name=f"geweke_{model_id}",
         statistics={"max_abs_z": float(np.max(np.abs(z)))},
-        threshold=z_threshold,
-        passed=bool(np.all(np.abs(z) < z_threshold)),
+        threshold=GEWEKE_Z_THRESHOLD,
+        passed=bool(np.all(np.abs(z) < GEWEKE_Z_THRESHOLD)),
         details=details,
     )
 
@@ -317,7 +322,6 @@ def mutation_sensitivity_check(
     hyper: Hyperparameters | None = None,
     replicates: int = 10_000,
     rng: RngStream | None = None,
-    z_threshold: float = 4.0,
 ) -> list:
     """Run the harness against five deliberately wrong fused kernels.
 
@@ -336,7 +340,6 @@ def mutation_sensitivity_check(
         sub = rng.substream(mut_index)
         geweke = geweke_joint_test(
             "bfl", n, p, hyper=hyper, replicates=replicates, rng=sub, step_fn=mutant,
-            z_threshold=z_threshold,
         )
         state = FusedState(beta=np.linspace(-1.0, 1.0, p), tau2=np.ones(p), w2=np.ones(p - 1), sigma2=1.0)
         data_rng = RngStream(11, 3)
@@ -352,7 +355,7 @@ def mutation_sensitivity_check(
                 "geweke_max_abs_z": geweke.statistics["max_abs_z"],
                 "order_mismatch": order.statistics["max_abs_mismatch"],
             },
-            threshold=z_threshold,
+            threshold=GEWEKE_Z_THRESHOLD,
             passed=caught,
             details={"geweke_failed": not geweke.passed, "order_failed": not order.passed},
         ))
@@ -421,15 +424,14 @@ def _fused_marginal_weights(beta: np.ndarray, tau2: np.ndarray, w2: np.ndarray,
 
 def fused_marginal_prior_check(p: int, lambda1: float, lambda2: float, sigma2: float,
                                beta_points, mc_samples: int = 1_000_000,
-                               rng: RngStream | None = None,
-                               se_threshold: float = 3.0) -> CheckResult:
+                               rng: RngStream | None = None) -> CheckResult:
     """Monte Carlo check that the fused prior's coefficient marginal is the
     double-exponential law exp(-(l1/s) sum|b_j| - (l2/s) sum|b_{j+1}-b_j|).
 
     For each pair (b, b') the marginal ratio is estimated by importance
     sampling over the scales (independent batches for numerator and
     denominator) and compared with the closed-form ratio; a pair passes when
-    the difference is within ``se_threshold`` combined standard errors.
+    the difference is within ``MARGINAL_SE_THRESHOLD`` combined standard errors.
     """
     if p < 1 or p > 4:
         raise InvalidParameterError("marginal check is desk-scale: 1 <= p <= 4")
@@ -470,7 +472,7 @@ def fused_marginal_prior_check(p: int, lambda1: float, lambda2: float, sigma2: f
         se = ratio * np.sqrt(cv_num**2 + cv_den**2)
         exact = float(np.exp(laplace_log(b1) - laplace_log(b2)))
         zval = (ratio - exact) / se if se > 0 else np.inf if ratio != exact else 0.0
-        ok = abs(ratio - exact) <= se_threshold * se or ratio == exact
+        ok = abs(ratio - exact) <= MARGINAL_SE_THRESHOLD * se or ratio == exact
         all_ok &= ok
         details[f"pair_{idx}"] = {
             "estimate": ratio, "exact": exact, "se": se, "z": float(zval), "passed": bool(ok),
@@ -479,7 +481,7 @@ def fused_marginal_prior_check(p: int, lambda1: float, lambda2: float, sigma2: f
     return CheckResult(
         name=f"fused_marginal_prior_p{p}",
         statistics={"max_abs_z": float(worst)},
-        threshold=se_threshold,
+        threshold=MARGINAL_SE_THRESHOLD,
         passed=bool(all_ok),
         details=details,
     )

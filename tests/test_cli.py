@@ -6,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from plgibbs.cli import build_parser, emit_csv, ingest_csv, main
+from plgibbs.cli import SCHEMA_VERSION, build_parser, emit_csv, ingest_csv, main
 from plgibbs.errors import PlgError
 from plgibbs.gibbs import ChainConfig, run_chain
 from plgibbs.model_core import Hyperparameters
@@ -179,6 +179,37 @@ class TestFit:
         summary = json.loads((out / "summary.json").read_text())
         assert [c["config"]["config"]["init_mode"] for c in summary["chains"]] == ["default", "default"]
 
+    @pytest.mark.parametrize("bad", [["--iters", "0"], ["--thin", "0"], ["--iters", "10", "--burnin", "10"]])
+    def test_chain_settings_checked_before_the_solve(self, tmp_path, monkeypatch, bad):
+        from plgibbs import solvers
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solvers.fused_lasso_solve(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "fused_lasso_solve", counted)
+        data_path = tmp_path / "d.csv"
+        write_dataset(data_path)
+        rc = main(["fit", "--model", "bfl", "--data", str(data_path), "--out-dir", str(tmp_path / "o")] + bad)
+        assert rc == 1
+        assert calls == []
+
+    def test_wide_summary_validates_without_multivariate_ess(self, tmp_path):
+        data_path = tmp_path / "d.csv"
+        write_dataset(data_path, n=10, p=12, seed=6)
+        out = tmp_path / "out"
+        assert main([
+            "fit", "--model", "bfl", "--data", str(data_path), "--iters", "100", "--burnin", "0",
+            "--out-dir", str(out),
+        ]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        jsonschema.validate(summary, load_schema("summary.schema.json"))
+        assert summary["schema_version"] == "3"
+        # 36 columns, 10 batches of 10
+        assert summary["chains"][0]["multivariate"] == {"ess": None, "batch_size": 10}
+
     def test_zero_response_without_xi_exits_1(self, tmp_path, capsys):
         data_path = tmp_path / "d.csv"
         with open(data_path, "w", newline="") as fh:
@@ -230,6 +261,15 @@ class TestHostileFit:
         if rc == 0:
             jsonschema.validate(json.loads((out / "summary.json").read_text()), load_schema("summary.schema.json"))
             jsonschema.validate(json.loads((out / "drift.json").read_text()), load_schema("drift.schema.json"))
+
+
+def test_schemas_are_valid_and_carry_the_cli_version():
+    paths = sorted(SCHEMA_DIR.glob("*.json"))
+    assert [p.name for p in paths] == ["drift.schema.json", "summary.schema.json", "verify_report.schema.json"]
+    for path in paths:
+        schema = load_schema(path.name)
+        jsonschema.Draft7Validator.check_schema(schema)
+        assert schema["properties"]["schema_version"]["const"] == SCHEMA_VERSION
 
 
 class TestDiagnose:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,13 +98,26 @@ class TestEffectiveSampleSize:
         thin = effective_sample_size(thinned) / thinned.shape[0]
         assert thin > full
 
+    def test_needs_more_batches_than_live_columns(self):
+        x = np.random.default_rng(9).standard_normal((100, 10))  # a = 10 batches
+        with pytest.raises(InvalidParameterError):
+            effective_sample_size(x)
+        x[:, 0] = 1.0  # constant columns do not count
+        with pytest.warns(DegenerateVarianceWarning):
+            assert effective_sample_size(x) > 0
+
+    def test_singular_covariance_rejected(self):
+        x = np.random.default_rng(10).standard_normal(400)
+        with pytest.raises(InvalidParameterError):
+            effective_sample_size(np.column_stack([x, x]))
+
 
 class TestSummarize:
     def test_single_row(self):
         rep = summarize(np.array([[1.0, 2.0]]))
         assert rep.parameters[0]["mean"] == 1.0
         assert rep.parameters[0]["ess"] == 1.0
-        assert rep.multivariate["covariance"] is None
+        assert "covariance" not in rep.multivariate
 
     def test_two_identical_rows(self):
         rep = summarize(np.array([[3.0], [3.0]]))
@@ -148,3 +162,41 @@ class TestSummarize:
             assert 0 < row["ess"] <= out.n_kept
             assert row["mcse"] > 0
         assert "2+delta" in rep.assumptions or "moment" in rep.assumptions
+
+
+class TestPerColumnSummaries:
+    def test_wide_chain_peak_memory(self):
+        mat = np.random.default_rng(11).standard_normal((100, 3001))
+        tracemalloc.start()
+        try:
+            summarize(mat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25 * 2**20
+
+    def test_no_multivariate_ess_when_batches_do_not_exceed_live_columns(self):
+        mat = np.column_stack([ar1(0.5, 100, seed=12 + j) for j in range(13)])  # a = 10 batches
+        mat[:, 4] = 2.0
+        rep = summarize(mat)
+        assert rep.multivariate == {"ess": None, "batch_size": 10}
+        assert "covariance" not in rep.to_dict()["multivariate"]
+        rep = summarize(mat[:, :10])  # 9 live columns < 10 batches
+        assert 0 < rep.multivariate["ess"] <= 100
+
+    def test_singular_chain_has_no_multivariate_ess(self):
+        x = ar1(0.5, 400, seed=13)
+        rep = summarize(np.column_stack([x, x]))
+        assert rep.multivariate["ess"] is None
+        assert all(row["mcse"] > 0 for row in rep.parameters)
+
+    @pytest.mark.parametrize("shape", [(400, 5), (100, 40)])
+    def test_rows_match_batch_means_diagonal(self, shape):
+        n, d = shape
+        mat = np.column_stack([ar1(0.7, n, seed=14 + j) for j in range(d)])
+        rep = summarize(mat)
+        sig = np.diag(batch_means_cov(mat))
+        mcse = np.array([row["mcse"] for row in rep.parameters])
+        ess = np.array([row["ess"] for row in rep.parameters])
+        np.testing.assert_allclose(mcse, np.sqrt(sig / n), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(ess, np.minimum(n, n * mat.var(axis=0, ddof=1) / sig), rtol=1e-14, atol=0)

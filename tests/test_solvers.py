@@ -169,9 +169,9 @@ class TestSolverInvariants:
         data = random_instance(12, n=12, p=6)
         groups = GroupStructure((3, 3))
         sols = [
-            fused_lasso_solve(data, 0.7, 0.5, keep_trace=True),
-            group_lasso_solve(data, groups, 0.9, keep_trace=True),
-            sparse_group_lasso_solve(data, groups, 0.5, 0.5, keep_trace=True),
+            fused_lasso_solve(data, 0.7, 0.5),
+            group_lasso_solve(data, groups, 0.9),
+            sparse_group_lasso_solve(data, groups, 0.5, 0.5),
         ]
         for sol in sols:
             assert np.all(np.diff(sol.objective_trace) <= 1e-12)
